@@ -177,6 +177,38 @@ let extend c steps_of_last =
   let last = List.length c + 1 in
   c @ steps_of_last last
 
+(* A fixed-capacity table private to one domain: once [cap] entries are
+   held, the next insertion starts it afresh. Planning results are pure
+   functions of their key, so dropping entries only costs recomputation. *)
+module Bounded = struct
+  type ('k, 'v) t = { cap : int; tbl : ('k, 'v) Hashtbl.t }
+
+  let create cap = { cap; tbl = Hashtbl.create 64 }
+  let find t k = Hashtbl.find_opt t.tbl k
+
+  let add t k v =
+    if Hashtbl.length t.tbl >= t.cap then Hashtbl.reset t.tbl;
+    Hashtbl.replace t.tbl k v
+
+  let length t = Hashtbl.length t.tbl
+end
+
+let cache_cap = 4096
+
+(* [Rseed] chains, keyed by the DFS's arguments: each exception's
+   exhaustive search runs at most once per domain while it stays cached. *)
+let seed_cache : (int * int * int, Chain.t option) Bounded.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bounded.create cache_cap)
+
+let seed_chain ~cap ~max_len n =
+  let cache = Domain.DLS.get seed_cache in
+  match Bounded.find cache (cap, max_len, n) with
+  | Some c -> c
+  | None ->
+      let c = Chain_search.find ~cap ~max_len n in
+      Bounded.add cache (cap, max_len, n) c;
+      c
+
 let chain t n =
   let rec build n : Chain.t option =
     if n < 1 || n > t.limit || t.costs.(n) = unreachable then None
@@ -213,7 +245,7 @@ let chain t n =
           match (build p, build q) with
           | Some cp, Some cq -> Some (compose cp cq)
           | _, _ -> None)
-      | Rseed l -> Chain_search.find ~cap:t.seed_cap ~max_len:l n
+      | Rseed l -> seed_chain ~cap:t.seed_cap ~max_len:l n
   in
   build n
 
@@ -222,91 +254,130 @@ let chain t n =
 
 let shared_limit = 1 lsl 16
 
-let shared_table =
-  let cache : (mode, table) Hashtbl.t = Hashtbl.create 2 in
-  fun mode ->
-    match Hashtbl.find_opt cache mode with
-    | Some t -> t
-    | None ->
-        let t = table mode ~limit:shared_limit in
-        Hashtbl.add cache mode t;
-        t
+(* Built at most once per mode, under the lock, by whichever domain asks
+   first; afterwards the tables are only read. *)
+let shared_lock = Mutex.create ()
+let shared_tables : (mode * table) list ref = ref []
 
-(* Recursive descent for targets beyond the shared table: only rules that
-   shrink the target, so termination is structural. Not guaranteed minimal
-   (neither was the paper's program); the compiler's cost model compares the
-   result against the millicode multiply anyway. *)
-let memo_find : (mode * int, Chain.t option) Hashtbl.t = Hashtbl.create 64
+let shared_table mode =
+  Mutex.protect shared_lock (fun () ->
+      match List.assoc_opt mode !shared_tables with
+      | Some t -> t
+      | None ->
+          let t = table mode ~limit:shared_limit in
+          shared_tables := (mode, t) :: !shared_tables;
+          t)
 
-let rec descend mode n : Chain.t option =
+(* Recursive descent for targets beyond the shared table. Not guaranteed
+   minimal (neither was the paper's program); the compiler's cost model
+   compares the result against the millicode multiply anyway.
+
+   The descent compares costs, not chains: each node above the table gets
+   its cost and winning rule, memoised for the duration of one [find], and
+   only the winner's chain is rebuilt at the end. A winning rule is the
+   predecessor [m] plus the steps that extend [m]'s chain. No path revisits
+   a node: every rule lowers the value except [n + 1], which is even and
+   is halved at once to at most [(n + 1) / 2], and from any odd [v] the
+   largest value reachable is [v + 1]. So the recursion terminates, no node
+   is consulted while in progress, and results are pure functions of [n]. *)
+type node = { cost : int; pred : int; steps : int -> Chain.step list }
+
+let no_node = { cost = unreachable; pred = 0; steps = (fun _ -> []) }
+
+let descend mode n : Chain.t option =
   let t = shared_table mode in
-  if n <= t.limit then chain t n
-  else
-    match Hashtbl.find_opt memo_find (mode, n) with
-    | Some r -> r
-    | None ->
-        (* Break the cycle for the +/-1 wiggle on this value. *)
-        Hashtbl.add memo_find (mode, n) None;
-        let best = ref None in
-        let consider c =
-          match (c, !best) with
-          | None, _ -> ()
-          | Some c, Some b when List.length c >= List.length b -> ()
-          | Some c, _ -> best := Some c
+  let memo : (int, node) Hashtbl.t = Hashtbl.create 64 in
+  let rec cost n =
+    if n <= t.limit then t.costs.(n)
+    else
+      match Hashtbl.find_opt memo n with
+      | Some node -> node.cost
+      | None ->
+          let node = best n in
+          Hashtbl.add memo n node;
+          node.cost
+  (* The first strictly cheaper candidate wins, in the rules' order. *)
+  and best n =
+    let best = ref no_node in
+    let try_rule m steps =
+      let c = cost m and k = List.length (steps 0) in
+      if c <> unreachable && c + k < !best.cost then
+        best := { cost = c + k; pred = m; steps }
+    in
+    let fast = mode = Fast in
+    let tz =
+      let rec go k v = if v land 1 = 0 then go (k + 1) (v lsr 1) else k in
+      go 0 n
+    in
+    if tz > 0 then begin
+      let m = n asr tz in
+      if fast then try_rule m (fun l -> [ Chain.Shl (l, tz) ])
+      else begin
+        (* Monotonic shifting in chunks of <= 3 via SHkADD with r0. *)
+        let rec shifts l k acc =
+          if k = 0 then List.rev acc
+          else
+            let s = min k 3 in
+            shifts (l + 1) (k - s) (Chain.Shadd (s, l, 0) :: acc)
         in
-        let try_rule m steps_of_last =
-          consider (Option.map (fun c -> extend c steps_of_last) (descend mode m))
-        in
-        let fast = mode = Fast in
-        let tz =
-          let rec go k v = if v land 1 = 0 then go (k + 1) (v lsr 1) else k in
-          go 0 n
-        in
-        if tz > 0 then begin
-          let m = n asr tz in
-          if fast then try_rule m (fun l -> [ Chain.Shl (l, tz) ])
-          else begin
-            (* Monotonic shifting in chunks of <= 3 via SHkADD with r0. *)
-            let rec shifts l k acc =
-              if k = 0 then List.rev acc
-              else
-                let s = min k 3 in
-                shifts (l + 1) (k - s) (Chain.Shadd (s, l, 0) :: acc)
-            in
-            try_rule m (fun l -> shifts l tz [])
-          end
-        end
-        else begin
-          List.iter
-            (fun (f, k) ->
-              if n mod f = 0 then
-                try_rule (n / f) (fun l -> [ Chain.Shadd (k, l, l) ]))
-            [ (3, 1); (5, 2); (9, 3) ];
-          for k = 1 to 3 do
-            if (n - 1) land ((1 lsl k) - 1) = 0 && (n - 1) asr k > 0 then
-              try_rule ((n - 1) asr k) (fun l -> [ Chain.Shadd (k, l, 1) ])
-          done;
-          try_rule (n - 1) (fun l -> [ Chain.Add (l, 1) ]);
-          if fast then begin
-            try_rule (n + 1) (fun l -> [ Chain.Sub (l, 1) ]);
-            for k = 4 to 31 do
-              let f = (1 lsl k) - 1 in
-              if f <= n && n mod f = 0 then
-                try_rule (n / f) (fun l ->
-                    [ Chain.Shl (l, k); Chain.Sub (l + 1, l) ]);
-              let f = (1 lsl k) + 1 in
-              if f <= n && n mod f = 0 then
-                try_rule (n / f) (fun l ->
-                    [ Chain.Shl (l, k); Chain.Add (l + 1, l) ])
-            done
-          end
-        end;
-        Hashtbl.replace memo_find (mode, n) !best;
-        !best
+        try_rule m (fun l -> shifts l tz [])
+      end
+    end
+    else begin
+      List.iter
+        (fun (f, k) ->
+          if n mod f = 0 then
+            try_rule (n / f) (fun l -> [ Chain.Shadd (k, l, l) ]))
+        [ (3, 1); (5, 2); (9, 3) ];
+      for k = 1 to 3 do
+        if (n - 1) land ((1 lsl k) - 1) = 0 && (n - 1) asr k > 0 then
+          try_rule ((n - 1) asr k) (fun l -> [ Chain.Shadd (k, l, 1) ])
+      done;
+      try_rule (n - 1) (fun l -> [ Chain.Add (l, 1) ]);
+      if fast then begin
+        try_rule (n + 1) (fun l -> [ Chain.Sub (l, 1) ]);
+        for k = 4 to 31 do
+          let f = (1 lsl k) - 1 in
+          if f <= n && n mod f = 0 then
+            try_rule (n / f) (fun l ->
+                [ Chain.Shl (l, k); Chain.Sub (l + 1, l) ]);
+          let f = (1 lsl k) + 1 in
+          if f <= n && n mod f = 0 then
+            try_rule (n / f) (fun l ->
+                [ Chain.Shl (l, k); Chain.Add (l + 1, l) ])
+        done
+      end
+    end;
+    !best
+  in
+  let rec rebuild n =
+    if n <= t.limit then chain t n
+    else
+      let node = Hashtbl.find memo n in
+      Option.map (fun c -> extend c node.steps) (rebuild node.pred)
+  in
+  if cost n = unreachable then None else rebuild n
+
+(* Finished results for this domain: the compiler and the selector ask
+   for the same constants repeatedly. *)
+let result_cache : (mode * int, Chain.t option) Bounded.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bounded.create cache_cap)
+
+let domain_cache_sizes () =
+  [
+    ("results", Bounded.length (Domain.DLS.get result_cache), cache_cap);
+    ("seeds", Bounded.length (Domain.DLS.get seed_cache), cache_cap);
+  ]
 
 let find ?(mode = Fast) n =
   if n < 1 then invalid_arg "Chain_rules.find: target must be >= 1";
-  descend mode n
+  let cache = Domain.DLS.get result_cache in
+  match Bounded.find cache (mode, n) with
+  | Some c -> c
+  | None ->
+      let c = descend mode n in
+      Bounded.add cache (mode, n) c;
+      c
 
 let find_exn ?mode n =
   match find ?mode n with

@@ -41,8 +41,27 @@ val chain : table -> int -> Chain.t option
 
 val find : ?mode:mode -> int -> Chain.t option
 (** Chain for one constant [n >= 1] of any magnitude up to [2^31 - 1]: uses
-    a lazily built shared table for small [n] and a budgeted recursive
-    descent for large [n]. [None] only in [Monotonic] mode when the cap is
-    exceeded. Results are memoised. *)
+    a lazily built shared table for small [n] and a recursive descent for
+    large [n]. [None] only in [Monotonic] mode when the cap is exceeded.
+
+    The descent compares integer costs, not chains: every node above the
+    table records its cost and the first strictly cheaper rule, in a memo
+    local to this call, and only the winning chain is rebuilt, once. No
+    path through the descent revisits a node (every rule lowers the value
+    except [n + 1], which is halved at once), so the result is a pure
+    function of [mode] and [n]: the same in any domain, after any history
+    of queries.
+
+    Each domain keeps two bounded caches of its own: finished
+    [(mode, n)] results, and the exhaustive-search chains behind table
+    entries seeded from the depth-3 closure. They are started afresh when
+    full ({!domain_cache_sizes}); the shared tables are built once, under
+    a lock, and only read afterwards. The caches take no lock, so within
+    one domain only one thread may plan at a time (as in the server, whose
+    shards each plan on a single worker domain). *)
 
 val find_exn : ?mode:mode -> int -> Chain.t
+
+val domain_cache_sizes : unit -> (string * int * int) list
+(** The calling domain's caches as [(name, entries, capacity)]; entries
+    never exceed the capacity. For tests and diagnostics. *)

@@ -883,8 +883,19 @@ let certificate_of = function
 
 (* The trusted image the body-equivalence certifier compares against:
    the canonical millicode library, whose W64 routines the differential
-   suite pins on all three engines. *)
-let canonical = lazy (Millicode.resolved ())
+   suite pins on all three engines. Built once, under a lock: shard
+   domains certify concurrently, and forcing one [lazy] from two domains
+   at once raises. *)
+let canonical =
+  let lock = Mutex.create () and image = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !image with
+        | Some p -> p
+        | None ->
+            let p = Millicode.resolved () in
+            image := Some p;
+            p)
 
 let certify req em =
   match link em with
@@ -893,7 +904,7 @@ let certify req em =
       match em.detail with
       | Millicode target ->
           certificate_of
-            (Hppa_verify.Driver.certify_body ~canonical:(Lazy.force canonical)
+            (Hppa_verify.Driver.certify_body ~canonical:(canonical ())
                prog ~entry:target)
       | Mul_plan _ | Div_plan _ | Pair_chain _ ->
           Error "no certifier covers this W64 emission")

@@ -1299,6 +1299,59 @@ let test_pipelined_ordering () =
         expected got;
       Unix.close fd)
 
+(* A cold two-shard daemon plans exactly like a one-shard one while both
+   shard domains plan fresh constants at once: the same keys go out
+   pipelined over two connections, one in each order. The one-shard
+   oracle runs afterwards, so it cannot warm anything the daemon reads. *)
+let test_two_shards_cold_plans () =
+  let requests =
+    List.map
+      (fun (op, v) ->
+        Printf.sprintf "%s %d" (match op with `Mul -> "MUL" | `Div -> "DIV") v)
+      Test_descent.race_keys
+  in
+  let served =
+    with_socket_server
+      ~config:(fun c -> { c with Server.Config.shards = 2 })
+      (fun path ->
+        let conns =
+          List.map
+            (fun order ->
+              let fd = connect_client path in
+              write_all fd (String.concat "\n" order ^ "\n");
+              (fd, order))
+            [ requests; List.rev requests ]
+        in
+        List.map
+          (fun (fd, order) ->
+            let ic = Unix.in_channel_of_descr fd in
+            let replies = List.map (fun r -> (r, read_reply ic)) order in
+            Unix.close fd;
+            replies)
+          conns)
+  in
+  let expected =
+    with_server ~workers:1 (fun oracle ->
+        List.map (fun r -> (r, Server.respond oracle r)) requests)
+  in
+  let digest replies =
+    Test_descent.md5
+      (List.map
+         (fun r -> Printf.sprintf "%s\n%s\n" r (List.assoc r replies))
+         requests)
+  in
+  Alcotest.(check string) "one-shard digest" Test_descent.race_digest
+    (digest expected);
+  List.iter
+    (fun replies ->
+      Alcotest.(check string) "two-shard digest" Test_descent.race_digest
+        (digest replies);
+      List.iter
+        (fun (r, reply) ->
+          Alcotest.(check string) r (List.assoc r expected) reply)
+        replies)
+    served
+
 (* A tiny pipeline_depth must throttle, not deadlock or drop. *)
 let test_pipeline_depth_backpressure () =
   with_socket_server
@@ -1440,6 +1493,8 @@ let suite =
           test_pipeline_depth_backpressure;
         Alcotest.test_case "quit closes the connection" `Quick
           test_quit_closes_connection;
+        Alcotest.test_case "cold two shards plan like one" `Quick
+          test_two_shards_cold_plans;
       ] );
     ( "server:e2e",
       [
