@@ -967,8 +967,9 @@ let bench_certify ~fast () =
 
 (* Per-entry cycle statistics over the high-word-zero operand mix, next
    to a reference scale stated in per-word millicode calls: a 128-bit
-   product is four 32x32 [mulU64] partial products, and a normalized
-   64/64 divide runs the 64/32 [divU64] core at least once. The ratio
+   product is four 32x32 [mulU64] partial products, a normalized 64/64
+   divide runs the 64/32 [divU64] core at least once, and the 128/64
+   divide runs two 64/32 estimate-and-correct steps. The ratio
    column shows what the frame spills, reloads, sign handling and
    normalization glue cost relative to that scale; the multiplies can
    land below 1.0x because the shift-and-add ladder is data-dependent
@@ -999,15 +1000,23 @@ let bench_w64 ~fast () =
     "  building blocks (same stream, low words): mulU64 %.1f cycles, divU64 \
      %.1f cycles\n\n"
     mul64_mean div64_mean;
-  Printf.printf "  %-10s %6s %7s %6s %8s %-12s %6s\n" "entry" "min" "mean"
+  Printf.printf "  %-11s %6s %7s %6s %8s %-12s %6s\n" "entry" "min" "mean"
     "max" "ref" "(per-word)" "ratio";
   List.iter
-    (fun entry ->
+    (fun ((k : Hppa_w64.kernel), signed) ->
+      let entry = Hppa_w64.kernel_entry k ~signed in
       let g = Prng.create 0x5EED64L in
       let cmin = ref max_int and cmax = ref 0 and tot = ref 0 in
       for _ = 1 to n do
         let x, y = Operand_dist.w64_pair g in
-        match Hppa_w64.call_cycles m entry ~x ~y with
+        (* the 128/64 divide gets the dividend (x mod y : x), whose
+           quotient fits a dword *)
+        let dwords =
+          match k.args with
+          | [ _; _ ] -> [ x; y ]
+          | _ -> [ Int64.unsigned_rem x y; x; y ]
+        in
+        match Hppa_w64.call_cycles m k ~signed dwords with
         | Hppa_w64.Value _, c ->
             cmin := min !cmin c;
             cmax := max !cmax c;
@@ -1022,13 +1031,13 @@ let bench_w64 ~fast () =
       done;
       let mean = float_of_int !tot /. float_of_int n in
       let bound, what =
-        match Hppa_w64.op_of_entry entry with
-        | Hppa_w64.Mul -> (4.0 *. mul64_mean, "4 x mulU64")
-        | Hppa_w64.Div | Hppa_w64.Rem -> (div64_mean, "1 x divU64")
+        if k == Hppa_w64.mul then (4.0 *. mul64_mean, "4 x mulU64")
+        else if k == Hppa_w64.divl then (2.0 *. div64_mean, "2 x divU64")
+        else (div64_mean, "1 x divU64")
       in
-      Printf.printf "  %-10s %6d %7.1f %6d %8.1f %-12s %5.2fx\n" entry !cmin
+      Printf.printf "  %-11s %6d %7.1f %6d %8.1f %-12s %5.2fx\n" entry !cmin
         mean !cmax bound what (mean /. bound))
-    Hppa_w64.entries
+    Hppa_w64.runs
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_SIM.json: machine-readable performance snapshot                *)

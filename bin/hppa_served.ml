@@ -318,12 +318,12 @@ let serve_cmd =
       value
       & opt (some int) None
       & info
-          [ "shards"; "w"; "workers" ]
+          [ "shards"; "w" ]
           ~docv:"N"
           ~doc:
             "Cache/compute shards, each owning one worker domain and a \
-             slice of the plan cache ($(b,--workers) is kept as an alias; \
-             default: the machine's recommended domain count, at least 2).")
+             slice of the plan cache (default: the machine's recommended \
+             domain count, at least 2).")
   in
   let cache =
     Arg.(

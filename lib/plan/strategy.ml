@@ -697,15 +697,23 @@ let baseline_nonrestoring =
 
 (* -- the 64-bit (double-word) family --------------------------------- *)
 
-let w64_target r =
-  match (r.op, r.signedness) with
-  | Mul, Unsigned -> "mulU128"
-  | Mul, Signed -> "mulI128"
-  | Div, Unsigned -> "divU64w"
-  | Div, Signed -> "divI64w"
-  | Rem, Unsigned -> "remU64w"
-  | Rem, Signed -> "remI64w"
-  | Divl, _ -> "divU128by64"
+(* The served kernel (Hppa_w64's table) a run-time-operand request
+   names; the millicode strategies call its entry. *)
+let w64_kernel = function
+  | Mul -> Hppa_w64.mul
+  | Div -> Hppa_w64.div
+  | Rem -> Hppa_w64.rem
+  | Divl -> Hppa_w64.divl
+
+let w64_run k signedness =
+  w64 (List.find (fun op -> w64_kernel op == k) [ Mul; Div; Rem; Divl ])
+    signedness
+
+let w64_millicode_emit r =
+  let target =
+    Hppa_w64.kernel_entry (w64_kernel r.op) ~signed:(r.signedness = Signed)
+  in
+  guard (fun () -> Ok (wrapper ~target r))
 
 (* Standalone pair-chain routine pool: product in (ret0:ret1),
    intermediates in the remaining caller-saved pairs; the operand pair
@@ -815,7 +823,7 @@ let w64_mul_millicode =
             score = (8 * ctx.millicode_mul_cycles) + 40;
             note = "modelled: four mulU64 partial products + recombination";
           });
-    emit = (fun r -> guard (fun () -> Ok (wrapper ~target:(w64_target r) r)));
+    emit = w64_millicode_emit;
     model = None;
   }
 
@@ -841,7 +849,7 @@ let w64_div_millicode =
             score = (2 * ctx.millicode_div_cycles) + 40;
             note = "modelled: two 64/32 divide steps + correction";
           });
-    emit = (fun r -> guard (fun () -> Ok (wrapper ~target:(w64_target r) r)));
+    emit = w64_millicode_emit;
     model = None;
   }
 
@@ -864,7 +872,7 @@ let w64_divl_millicode =
             note =
               "modelled: normalization + two 64/32 estimate-and-correct steps";
           });
-    emit = (fun r -> guard (fun () -> Ok (wrapper ~target:(w64_target r) r)));
+    emit = w64_millicode_emit;
     model = None;
   }
 

@@ -64,6 +64,15 @@ val w64_divl : request
 (** The 128/64 divide: dividend dword pair and divisor dword at run
     time, unsigned. *)
 
+val w64_kernel : op -> Hppa_w64.kernel
+(** The served kernel of {!Hppa_w64.kernels} a run-time-operand W64
+    request names ([Divl] is {!Hppa_w64.divl}); the W64 millicode
+    strategies call its entry. *)
+
+val w64_run : Hppa_w64.kernel -> signedness -> request
+(** The run-time-operand request a served kernel plans through: the
+    inverse of {!w64_kernel}. *)
+
 val w64_mul_const : ?trap_overflow:bool -> int64 -> request
 val w64_div_const : signedness -> int64 -> request
 val w64_rem_const : signedness -> int64 -> request

@@ -100,7 +100,7 @@ let smalldiv_request g =
 let w64_request g =
   let rank = zipf_rank g in
   let verb =
-    match rank mod 3 with 0 -> "W64MUL" | 1 -> "W64DIV" | _ -> "W64REM"
+    (List.nth Hppa_w64.[ mul; div; rem ] (rank mod 3)).Hppa_w64.verb
   in
   let sign = if rank land 1 = 0 then "u" else "s" in
   let og = Prng.create (Int64.of_int (1_000_000 + rank)) in

@@ -1,4 +1,4 @@
-(* Reply payloads for the three plan-producing requests. Everything here
+(* Reply payloads for the plan-producing requests. Everything here
    must be a pure function of the request (plus the fuel bound), because
    cached replies are compared byte-for-byte against recomputed ones.
 
@@ -150,155 +150,80 @@ let div ?obs ?require_certified d =
         Ok (div_payload plan, artifact_of_choice choice)
     | Error detail -> Error ("plan " ^ detail)
 
-(* W64 requests carry their run-time operands, so the reply both names
-   the chosen strategy's millicode target and carries the executed
-   result dwords. The pooled machine holds the full millicode library;
-   the emission's wrapper is a tail-call onto the target, so calling the
-   target directly is the same computation. *)
-let w64_choice ?obs ?require_certified op ~signed =
-  let signedness = if signed then Strategy.Signed else Strategy.Unsigned in
-  let sreq =
-    match (op : Hppa_w64.op) with
-    | Hppa_w64.Mul -> Strategy.w64_mul signedness
-    | Hppa_w64.Div -> Strategy.w64_div signedness
-    | Hppa_w64.Rem -> Strategy.w64_rem signedness
-  in
-  match Selector.choose ?obs ?require_certified sreq with
-  | Error detail -> Error ("plan " ^ detail)
-  | Ok choice ->
-      let entry =
-        match choice.Selector.emission.Strategy.detail with
-        | Strategy.Millicode target -> target
-        | Strategy.Mul_plan _ | Strategy.Div_plan _ | Strategy.Pair_chain _ ->
-            Hppa_w64.entry ~signed op
-      in
-      Ok (entry, choice)
-
-(* Render one executed W64 lane; shared by the scalar path and the
-   batched path so their reply bytes cannot diverge. *)
-let w64_render ~fuel op ~signed ~entry ~choice x y outcome cycles =
+(* The served run-time-operand kernels (Hppa_w64.kernels): the reply
+   names the row's millicode entry and carries the executed result
+   dwords. The selector still picks, counts and certifies the row's
+   millicode strategy, whose emission is a tail-call wrapper onto that
+   same entry; the pooled machine holds the full millicode library, so
+   calling the entry directly is the same computation. *)
+let render ~fuel (k : Hppa_w64.kernel) ~signed dwords outcome cycles =
+  let entry = Hppa_w64.kernel_entry k ~signed in
   match (outcome : Hppa_w64.outcome) with
   | Hppa_w64.Value { ret; arg } ->
-      let verb =
-        match (op : Hppa_w64.op) with
-        | Hppa_w64.Mul -> "W64MUL"
-        | Hppa_w64.Div -> "W64DIV"
-        | Hppa_w64.Rem -> "W64REM"
-      in
-      let result =
-        match op with
-        | Hppa_w64.Mul -> Printf.sprintf "hi=%Ld lo=%Ld" ret arg
-        | Hppa_w64.Div -> Printf.sprintf "q=%Ld r=%Ld" ret arg
-        | Hppa_w64.Rem -> Printf.sprintf "r=%Ld" ret
-      in
+      let fields = List.combine k.args dwords @ k.unpack ~ret ~arg in
+      let tag = if k.tagged then [ Printf.sprintf "signed=%b" signed ] else [] in
       Ok
-        ( Printf.sprintf "%s signed=%b x=%Ld y=%Ld %s cycles=%d entry=%s" verb
-            signed x y result cycles entry,
-          artifact_of_choice choice )
+        (String.concat " "
+           ((k.verb :: tag)
+           @ List.map (fun (name, v) -> Printf.sprintf "%s=%Ld" name v) fields
+           @ [ Printf.sprintf "cycles=%d entry=%s" cycles entry ]))
   | Hppa_w64.Trap t ->
       Error
         (Printf.sprintf "trap %s: %s" entry (Hppa_machine.Trap.to_string t))
   | Hppa_w64.Fuel ->
       Error (Printf.sprintf "fuel %s exceeded %d cycles" entry fuel)
+
+(* One selector choice for the row, then one scalar run for a single
+   lane or one Machine.Batch SoA dispatch for two or more. Per-lane
+   batch cycles equal the scalar engine's call_cycles delta on a reset
+   machine (pinned by the batch differential suite), so both paths
+   render the same bytes. *)
+let run ?obs ?require_certified mach ~fuel (k : Hppa_w64.kernel) ~signed lanes =
+  let signedness = if signed then Strategy.Signed else Strategy.Unsigned in
+  match lanes with
+  | [] -> []
+  | _ -> (
+      match
+        Selector.choose ?obs ?require_certified (Strategy.w64_run k signedness)
+      with
+      | Error detail -> List.map (fun _ -> Error ("plan " ^ detail)) lanes
+      | Ok choice -> (
+          let artifact = artifact_of_choice choice in
+          let reply dwords (outcome, cycles) =
+            Result.map
+              (fun payload -> (payload, artifact))
+              (render ~fuel k ~signed dwords outcome cycles)
+          in
+          match lanes with
+          | [ dwords ] ->
+              Machine.reset mach;
+              [
+                reply dwords (Hppa_w64.call_cycles ~fuel mach k ~signed dwords);
+              ]
+          | _ ->
+              let b =
+                Machine.Batch.create ~lanes:(List.length lanes)
+                  (Machine.program mach)
+              in
+              Machine.Batch.call ~fuel b
+                (Hppa_w64.kernel_entry k ~signed)
+                ~args:(Array.of_list (List.map k.pack lanes));
+              List.mapi
+                (fun lane dwords ->
+                  reply dwords
+                    ( Hppa_w64.batch_outcome b ~lane,
+                      Machine.Batch.cycles b ~lane ))
+                lanes))
 
 let w64 ?obs ?require_certified mach ~fuel op ~signed x y =
-  match w64_choice ?obs ?require_certified op ~signed with
-  | Error _ as e -> e
-  | Ok (entry, choice) ->
-      Machine.reset mach;
-      let outcome, cycles = Hppa_w64.call_cycles ~fuel mach entry ~x ~y in
-      w64_render ~fuel op ~signed ~entry ~choice x y outcome cycles
-
-let w64_batch ?obs ?require_certified mach ~fuel op ~signed pairs =
-  match pairs with
-  | [] -> []
-  | _ -> (
-      match w64_choice ?obs ?require_certified op ~signed with
-      | Error _ as e -> List.map (fun _ -> e) pairs
-      | Ok (entry, choice) ->
-          (* One SoA dispatch over all lanes. Per-lane batch cycles equal
-             the scalar engine's call_cycles delta on a reset machine
-             (pinned by the batch differential suite), so each lane's
-             rendering is byte-identical to the scalar path's. *)
-          let b =
-            Machine.Batch.create
-              ~lanes:(List.length pairs)
-              (Machine.program mach)
-          in
-          let args =
-            Array.of_list
-              (List.map (fun (x, y) -> Hppa_w64.operands x y) pairs)
-          in
-          Machine.Batch.call ~fuel b entry ~args;
-          List.mapi
-            (fun lane (x, y) ->
-              w64_render ~fuel op ~signed ~entry ~choice x y
-                (Hppa_w64.batch_outcome b ~lane)
-                (Machine.Batch.cycles b ~lane))
-            pairs)
-
-(* The 128/64 divide: one strategy ([w64_divl_millicode]), operands on
-   the request line like the other W64 verbs but as (xhi, xlo, y)
-   triples — the unsigned 128-bit dividend's dwords, then the divisor. *)
-let divl_choice ?obs ?require_certified () =
-  match Selector.choose ?obs ?require_certified Strategy.w64_divl with
-  | Error detail -> Error ("plan " ^ detail)
-  | Ok choice ->
-      let entry =
-        match choice.Selector.emission.Strategy.detail with
-        | Strategy.Millicode target -> target
-        | Strategy.Mul_plan _ | Strategy.Div_plan _ | Strategy.Pair_chain _ ->
-            Hppa_w64.divl_entry
-      in
-      Ok (entry, choice)
-
-let divl_render ~fuel ~entry ~choice ~xhi ~xlo y outcome cycles =
-  match (outcome : Hppa_w64.outcome) with
-  | Hppa_w64.Value { ret; arg } ->
-      Ok
-        ( Printf.sprintf
-            "W64DIVL xhi=%Ld xlo=%Ld y=%Ld q=%Ld r=%Ld cycles=%d entry=%s" xhi
-            xlo y ret arg cycles entry,
-          artifact_of_choice choice )
-  | Hppa_w64.Trap t ->
-      Error
-        (Printf.sprintf "trap %s: %s" entry (Hppa_machine.Trap.to_string t))
-  | Hppa_w64.Fuel ->
-      Error (Printf.sprintf "fuel %s exceeded %d cycles" entry fuel)
+  List.hd
+    (run ?obs ?require_certified mach ~fuel (Hppa_w64.of_op op) ~signed
+       [ [ x; y ] ])
 
 let divl ?obs ?require_certified mach ~fuel ~xhi ~xlo y =
-  match divl_choice ?obs ?require_certified () with
-  | Error _ as e -> e
-  | Ok (entry, choice) ->
-      Machine.reset mach;
-      let outcome, cycles = Hppa_w64.call_divl_cycles ~fuel mach ~xhi ~xlo y in
-      divl_render ~fuel ~entry ~choice ~xhi ~xlo y outcome cycles
-
-let divl_batch ?obs ?require_certified mach ~fuel triples =
-  match triples with
-  | [] -> []
-  | _ -> (
-      match divl_choice ?obs ?require_certified () with
-      | Error _ as e -> List.map (fun _ -> e) triples
-      | Ok (entry, choice) ->
-          let b =
-            Machine.Batch.create
-              ~lanes:(List.length triples)
-              (Machine.program mach)
-          in
-          let args =
-            Array.of_list
-              (List.map
-                 (fun (xhi, xlo, y) -> Hppa_w64.operands_divl ~xhi ~xlo y)
-                 triples)
-          in
-          Machine.Batch.call ~fuel b entry ~args;
-          List.mapi
-            (fun lane (xhi, xlo, y) ->
-              divl_render ~fuel ~entry ~choice ~xhi ~xlo y
-                (Hppa_w64.batch_outcome b ~lane)
-                (Machine.Batch.cycles b ~lane))
-            triples)
+  List.hd
+    (run ?obs ?require_certified mach ~fuel Hppa_w64.divl ~signed:false
+       [ [ xhi; xlo; y ] ])
 
 let eval mach ~fuel entry args =
   if not (List.mem entry Millicode.entries) then

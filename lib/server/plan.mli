@@ -56,6 +56,39 @@ val div :
     with its magic parameters, even split, or general-divide fallback).
     [require_certified] as in {!mul}. *)
 
+val run :
+  ?obs:Hppa_obs.Obs.Registry.t ->
+  ?require_certified:bool ->
+  Hppa_machine.Machine.t ->
+  fuel:int ->
+  Hppa_w64.kernel ->
+  signed:bool ->
+  int64 list list ->
+  (string * artifact, string) result list
+(** Lanes of one served run-time-operand kernel ({!Hppa_w64.kernels}),
+    each lane the row's operand dwords: one selector choice (the row's
+    [w64_*_millicode] strategy), then one run of the row's entry on the
+    given (worker-private, reset first) machine for a single lane, or
+    one {!Hppa_machine.Machine.Batch} SoA dispatch over two or more —
+    per-lane batch cycles equal the scalar engine's, so each lane's
+    reply is byte-identical to the single-lane one. Each reply is
+    {!render}ed. Under [require_certified] the plan must carry a
+    body-equivalence certificate or every lane is refused. *)
+
+val render :
+  fuel:int ->
+  Hppa_w64.kernel ->
+  signed:bool ->
+  int64 list ->
+  Hppa_w64.outcome ->
+  int ->
+  (string, string) result
+(** [render ~fuel k ~signed dwords outcome cycles] is the reply payload
+    of one run: the verb, [signed=] on a tagged row, the named operand
+    and result dwords, the dynamic cycle count and the entry. Divide
+    traps (zero divisor, signed [-2{^63} / -1], a 128/64 quotient that
+    does not fit a dword) and fuel exhaustion are error details. *)
+
 val w64 :
   ?obs:Hppa_obs.Obs.Registry.t ->
   ?require_certified:bool ->
@@ -66,32 +99,7 @@ val w64 :
   int64 ->
   int64 ->
   (string * artifact, string) result
-(** One W64 request: route through the selector (the
-    [w64_mul_millicode]/[w64_div_millicode] strategies), then execute
-    the chosen millicode target on the given (worker-private) machine
-    with the operands packed as (hi:lo) register pairs, and render both
-    result dwords with the dynamic cycle count. The machine is reset
-    first. Divide traps (zero divisor, signed [-2{^63} / -1]) and fuel
-    exhaustion are error replies. Under [require_certified] the divide
-    and remainder plans must carry a body-equivalence certificate or
-    the request is refused. *)
-
-val w64_batch :
-  ?obs:Hppa_obs.Obs.Registry.t ->
-  ?require_certified:bool ->
-  Hppa_machine.Machine.t ->
-  fuel:int ->
-  Hppa_w64.op ->
-  signed:bool ->
-  (int64 * int64) list ->
-  (string * artifact, string) result list
-(** Batched form of {!w64}: one selector choice and one
-    {!Hppa_machine.Machine.Batch} SoA dispatch covering every operand
-    pair, returning per-pair results in order. The machine only donates
-    its resolved program; per-lane batch cycles equal the scalar
-    engine's, so each returned payload is byte-identical to what {!w64}
-    would produce for that pair — miss lanes of a [W64*B] request cost
-    one translated dispatch instead of K scalar calls. *)
+(** One lane of {!run} on the row {!Hppa_w64.of_op}[ op]. *)
 
 val divl :
   ?obs:Hppa_obs.Obs.Registry.t ->
@@ -102,23 +110,8 @@ val divl :
   xlo:int64 ->
   int64 ->
   (string * artifact, string) result
-(** One [W64DIVL] request: the unsigned 128-bit dividend [(xhi:xlo)]
-    divided by the dword [y] through {!Hppa_w64.divl_entry}
-    ([divU128by64]), selected via the [w64_divl_millicode] strategy.
-    A zero divisor or a quotient that does not fit a dword traps, which
-    is an error reply. Under [require_certified] the plan must carry a
-    body-equivalence certificate for the divide. *)
-
-val divl_batch :
-  ?obs:Hppa_obs.Obs.Registry.t ->
-  ?require_certified:bool ->
-  Hppa_machine.Machine.t ->
-  fuel:int ->
-  (int64 * int64 * int64) list ->
-  (string * artifact, string) result list
-(** Batched {!divl} over [(xhi, xlo, y)] triples: one selector choice
-    and one SoA dispatch, per-lane replies byte-identical to the scalar
-    path's. *)
+(** One lane of {!run} on {!Hppa_w64.divl}: the unsigned 128-bit
+    dividend [(xhi:xlo)] divided by [y]. *)
 
 val eval :
   Hppa_machine.Machine.t ->

@@ -84,10 +84,9 @@ let create ?obs ?(obs_labels = []) ~workers ~init () =
 
 let workers t = t.n_workers
 
-let submit t f =
-  let cell = ref None in
-  let done_lock = Mutex.create () in
-  let done_cond = Condition.create () in
+(* The one job wrapper: counts the job, observes its queue wait, and
+   swallows (counting) whatever it raises. *)
+let enqueue t ~caller f =
   let submitted = Unix.gettimeofday () in
   let job ctx =
     (match t.ins with
@@ -96,39 +95,6 @@ let submit t f =
         Obs.Counter.incr ins.jobs;
         Obs.Histogram.observe ins.wait
           ((Unix.gettimeofday () -. submitted) *. 1e6));
-    let result =
-      try Ok (f ctx)
-      with exn ->
-        (match t.ins with
-        | None -> ()
-        | Some ins -> Obs.Counter.incr ins.exceptions);
-        Error exn
-    in
-    Mutex.lock done_lock;
-    cell := Some result;
-    Condition.signal done_cond;
-    Mutex.unlock done_lock
-  in
-  Mutex.lock t.lock;
-  if t.closed then begin
-    Mutex.unlock t.lock;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  Queue.push job t.queue;
-  Condition.signal t.nonempty;
-  Mutex.unlock t.lock;
-  Mutex.lock done_lock;
-  while Option.is_none !cell do
-    Condition.wait done_cond done_lock
-  done;
-  Mutex.unlock done_lock;
-  match Option.get !cell with Ok v -> v | Error exn -> raise exn
-
-let post t f =
-  let job ctx =
-    (match t.ins with
-    | None -> ()
-    | Some ins -> Obs.Counter.incr ins.jobs);
     try f ctx
     with _ -> (
       match t.ins with
@@ -138,11 +104,34 @@ let post t f =
   Mutex.lock t.lock;
   if t.closed then begin
     Mutex.unlock t.lock;
-    invalid_arg "Pool.post: pool is shut down"
+    invalid_arg (caller ^ ": pool is shut down")
   end;
   Queue.push job t.queue;
   Condition.signal t.nonempty;
   Mutex.unlock t.lock
+
+let post t f = enqueue t ~caller:"Pool.post" f
+
+(* [post] plus a result cell: the job stores its outcome, then re-raises
+   so the wrapper counts the exception; the submitter re-raises it on
+   its own stack. *)
+let submit t f =
+  let cell = ref None in
+  let done_lock = Mutex.create () in
+  let done_cond = Condition.create () in
+  enqueue t ~caller:"Pool.submit" (fun ctx ->
+      let result = try Ok (f ctx) with exn -> Error exn in
+      Mutex.lock done_lock;
+      cell := Some result;
+      Condition.signal done_cond;
+      Mutex.unlock done_lock;
+      match result with Ok _ -> () | Error exn -> raise exn);
+  Mutex.lock done_lock;
+  while Option.is_none !cell do
+    Condition.wait done_cond done_lock
+  done;
+  Mutex.unlock done_lock;
+  match Option.get !cell with Ok v -> v | Error exn -> raise exn
 
 let shutdown t =
   Mutex.lock t.lock;

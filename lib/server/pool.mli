@@ -19,7 +19,8 @@ val create :
   workers:int -> init:(unit -> 'ctx) -> unit -> 'ctx t
 (** [workers >= 1], else [Invalid_argument]. With [?obs], the pool
     registers [hppa_pool_jobs_total], [hppa_pool_job_exceptions_total],
-    a queue-wait histogram [hppa_pool_wait_us] (submit to job start) and
+    a queue-wait histogram [hppa_pool_wait_us] (enqueue to job start,
+    for {!submit} and {!post} jobs alike) and
     a live [hppa_pool_queue_depth] gauge, all under [obs_labels]
     (default none) — several pools (e.g. one per cache shard) can share
     a registry by labelling themselves apart. *)

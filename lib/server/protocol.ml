@@ -3,25 +3,24 @@
    exception (the fuzz suite pins this).
 
    Every plan-producing verb — scalar or batch, 32- or 64-bit — is one
-   row of [kernel_table]; parsing, verb naming, printing, cache keys and
-   batch-header recognition are all table lookups, so a new verb is one
-   [kernel] constructor plus one row, not four hand-written code
-   sites. *)
+   [kernel]: MUL and DIV here, and one [Krun] per row of
+   [Hppa_w64.kernels], the table of served run-time-operand kernels.
+   Parsing, verb naming, printing, cache keys, batch caps and
+   batch-header recognition all read that row, so a new W64 verb is one
+   row in Hppa_w64 and no code here. *)
 
 module Word = Hppa_word.Word
 
-type w64_op = W64_mul | W64_div | W64_rem
-
-type kernel = Kmul | Kdiv | Kw64 of w64_op | Kdivl
-
-type lane =
-  | Const of int32
-  | Pair of { signed : bool; x : int64; y : int64 }
-  | Triple of { xhi : int64; xlo : int64; y : int64 }
-      (** the 128/64 divide's operands: dividend dword pair, divisor *)
+(* The lane type is indexed by the kernel, so a lane of the wrong shape
+   cannot be built: MUL/DIV lanes are int32 constants, a run kernel's
+   lanes the operand dwords of its row. *)
+type _ kernel =
+  | Kmul : int32 kernel
+  | Kdiv : int32 kernel
+  | Krun : { run : Hppa_w64.kernel; signed : bool } -> int64 list kernel
 
 type request =
-  | Op of { kernel : kernel; batch : bool; lanes : lane list }
+  | Op : { kernel : 'lane kernel; batch : bool; lanes : 'lane list } -> request
   | Eval of string * Word.t list
   | Stats
   | Metrics
@@ -29,14 +28,16 @@ type request =
   | Quit
 
 (* Convenience constructors for the scalar forms. *)
-let mul n = Op { kernel = Kmul; batch = false; lanes = [ Const n ] }
-let div d = Op { kernel = Kdiv; batch = false; lanes = [ Const d ] }
+let mul n = Op { kernel = Kmul; batch = false; lanes = [ n ] }
+let div d = Op { kernel = Kdiv; batch = false; lanes = [ d ] }
 
-let w64 op ~signed x y =
-  Op { kernel = Kw64 op; batch = false; lanes = [ Pair { signed; x; y } ] }
-
-let divl ~xhi ~xlo y =
-  Op { kernel = Kdivl; batch = false; lanes = [ Triple { xhi; xlo; y } ] }
+let run k ~signed dwords =
+  Op
+    {
+      kernel = Krun { run = k; signed = signed && k.Hppa_w64.tagged };
+      batch = false;
+      lanes = [ dwords ];
+    }
 
 let max_line_bytes = 1024
 
@@ -44,41 +45,10 @@ let max_line_bytes = 1024
    comfortably inside [max_line_bytes]. *)
 let max_batch_operands = 64
 
-(* int64 decimal tokens run to 20 characters; 16 pairs (32 tokens) plus
-   the signedness and the verb still fit in [max_line_bytes]. *)
-let max_w64_batch_pairs = 16
-
-(* Triples run to three 20-character tokens; 10 of them plus the verb
-   stay inside [max_line_bytes]. *)
-let max_divl_batch_triples = 10
-
-(* How a kernel's operands look on the wire. *)
-type shape =
-  | Consts  (** bare int32 tokens; 1 scalar, up to [max_batch_operands] *)
-  | Pairs
-      (** a signedness tag then int64 [x y] pairs; 1 scalar pair, up to
-          [max_w64_batch_pairs] batched *)
-  | Triples
-      (** unsigned int64 [xhi xlo y] triples; 1 scalar triple, up to
-          [max_divl_batch_triples] batched *)
-
-let kernel_table =
-  [
-    (Kmul, "MUL", Consts);
-    (Kdiv, "DIV", Consts);
-    (Kw64 W64_mul, "W64MUL", Pairs);
-    (Kw64 W64_div, "W64DIV", Pairs);
-    (Kw64 W64_rem, "W64REM", Pairs);
-    (Kdivl, "W64DIVL", Triples);
-  ]
-
-let kernel_verb k =
-  let _, name, _ = List.find (fun (k', _, _) -> k' = k) kernel_table in
-  name
-
-let kernel_shape k =
-  let _, _, shape = List.find (fun (k', _, _) -> k' = k) kernel_table in
-  shape
+let kernel_verb : type lane. lane kernel -> string = function
+  | Kmul -> "MUL"
+  | Kdiv -> "DIV"
+  | Krun { run; _ } -> run.Hppa_w64.verb
 
 let verb = function
   | Op { kernel; batch; _ } ->
@@ -98,13 +68,6 @@ let is_err s = String.length s >= 4 && String.sub s 0 4 = "ERR "
 let starts_with prefix s =
   String.length s >= String.length prefix
   && String.sub s 0 (String.length prefix) = prefix
-
-(* Batch replies open "OK <VERB>B k=<K>" — derived from the same table,
-   so a new kernel's batch form frames correctly with no extra code. *)
-let is_batch_reply s =
-  List.exists
-    (fun (_, name, _) -> starts_with ("OK " ^ name ^ "B k=") s)
-    kernel_table
 
 (* Printable excerpt of hostile input for error messages. *)
 let excerpt s =
@@ -160,134 +123,94 @@ let rec map_result f = function
       Result.bind (f x) (fun y ->
           Result.map (fun ys -> y :: ys) (map_result f rest))
 
-(* One parser per operand shape, scalar and batch forms alike; the
-   error strings are generated from the verb so every row of the table
-   reports uniformly. A batch with one bad operand is rejected whole:
-   a partial batch would desynchronize the lane-indexed reply. *)
-let parse_lanes kernel ~batch args =
-  let name = kernel_verb kernel ^ if batch then "B" else "" in
-  match (kernel_shape kernel, batch) with
-  | Consts, false -> (
-      match args with
-      | [ tok ] -> Result.map (fun n -> [ Const n ]) (int32_of_token tok)
-      | _ -> Error (Printf.sprintf "parse %s takes exactly one integer" name))
-  | Consts, true ->
-      if args = [] then
-        Error (Printf.sprintf "parse %s needs at least one integer" name)
-      else if List.length args > max_batch_operands then
-        Error
-          (Printf.sprintf "parse %s takes at most %d integers" name
-             max_batch_operands)
-      else
-        map_result
-          (fun tok -> Result.map (fun n -> Const n) (int32_of_token tok))
-          args
-  | Pairs, false -> (
-      match args with
-      | [ sign; x; y ] ->
-          Result.bind (signedness_of_token sign) (fun signed ->
-              Result.bind (int64_of_token x) (fun x ->
-                  Result.map
-                    (fun y -> [ Pair { signed; x; y } ])
-                    (int64_of_token y)))
-      | _ ->
-          Error
-            (Printf.sprintf "parse %s takes a signedness and two integers"
-               name))
-  | Pairs, true -> (
-      match args with
-      | [] ->
-          Error
-            (Printf.sprintf "parse %s needs a signedness and operand pairs"
-               name)
-      | sign :: args ->
-          Result.bind (signedness_of_token sign) (fun signed ->
-              let n = List.length args in
-              if n = 0 then
-                Error
-                  (Printf.sprintf "parse %s needs at least one operand pair"
-                     name)
-              else if n mod 2 <> 0 then
-                Error
-                  (Printf.sprintf
-                     "parse %s takes x y operand pairs (odd operand count)"
-                     name)
-              else if n / 2 > max_w64_batch_pairs then
-                Error
-                  (Printf.sprintf "parse %s takes at most %d operand pairs"
-                     name max_w64_batch_pairs)
-              else
-                let rec convert acc = function
-                  | [] -> Ok (List.rev acc)
-                  | x :: y :: rest -> (
-                      match int64_of_token x with
-                      | Error e -> Error e
-                      | Ok x -> (
-                          match int64_of_token y with
-                          | Error e -> Error e
-                          | Ok y ->
-                              convert (Pair { signed; x; y } :: acc) rest))
-                  | [ _ ] -> Error "parse internal odd operand count"
-                in
-                convert [] args))
-  | Triples, false -> (
-      match args with
-      | [ xhi; xlo; y ] ->
-          Result.bind (int64_of_token xhi) (fun xhi ->
-              Result.bind (int64_of_token xlo) (fun xlo ->
-                  Result.map
-                    (fun y -> [ Triple { xhi; xlo; y } ])
-                    (int64_of_token y)))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "parse %s takes three integers (dividend hi, dividend lo, \
-                divisor)"
-               name))
-  | Triples, true ->
-      let n = List.length args in
-      if n = 0 then
-        Error (Printf.sprintf "parse %s needs at least one operand triple" name)
-      else if n mod 3 <> 0 then
-        Error
-          (Printf.sprintf
-             "parse %s takes xhi xlo y operand triples (operand count not a \
-              multiple of three)"
-             name)
-      else if n / 3 > max_divl_batch_triples then
-        Error
-          (Printf.sprintf "parse %s takes at most %d operand triples" name
-             max_divl_batch_triples)
-      else
-        let rec convert acc = function
-          | [] -> Ok (List.rev acc)
-          | xhi :: xlo :: y :: rest -> (
-              match int64_of_token xhi with
-              | Error e -> Error e
-              | Ok xhi -> (
-                  match int64_of_token xlo with
-                  | Error e -> Error e
-                  | Ok xlo -> (
-                      match int64_of_token y with
-                      | Error e -> Error e
-                      | Ok y -> convert (Triple { xhi; xlo; y } :: acc) rest)))
-          | _ -> Error "parse internal operand count not a multiple of three"
-        in
-        convert [] args
-
-(* Verb lookup: "<VERB>" is the scalar form, "<VERB>B" the batch form
-   of the same kernel row. *)
-let kernel_of_verb cmd =
-  let find name =
-    List.find_opt (fun (_, n, _) -> n = name) kernel_table
-    |> Option.map (fun (k, _, _) -> k)
+(* Split tokens into lanes of [n] (the count is a multiple of [n]). *)
+let rec chunks n toks =
+  let rec take i acc = function
+    | t :: rest when i > 0 -> take (i - 1) (t :: acc) rest
+    | rest -> (List.rev acc, rest)
   in
-  match find cmd with
-  | Some k -> Some (k, false)
+  match take n [] toks with
+  | [], _ -> []
+  | lane, rest -> lane :: chunks n rest
+
+(* One parser per kernel, for its scalar and batch forms; the error
+   strings are generated from the verb and, for a run kernel, from its
+   row, so every verb reports uniformly. A batch with one bad operand is
+   rejected whole: a partial batch would desynchronize the lane-indexed
+   reply. *)
+let fail name fmt = Printf.ksprintf (fun m -> Error ("parse " ^ name ^ m)) fmt
+
+let parse_consts kernel name ~batch args =
+  let lanes =
+    if not batch then
+      if List.length args = 1 then map_result int32_of_token args
+      else fail name " takes exactly one integer"
+    else if args = [] then fail name " needs at least one integer"
+    else if List.length args > max_batch_operands then
+      fail name " takes at most %d integers" max_batch_operands
+    else map_result int32_of_token args
+  in
+  Result.map (fun lanes -> Op { kernel; batch; lanes }) lanes
+
+let parse_run (k : Hppa_w64.kernel) name ~batch args =
+  let n = List.length k.args in
+  let group, stray =
+    match n with
+    | 2 -> ("pair", "odd operand count")
+    | 3 -> ("triple", "operand count not a multiple of three")
+    | n ->
+        ( Printf.sprintf "%d-tuple" n,
+          Printf.sprintf "operand count not a multiple of %d" n )
+  in
+  let op signed toks =
+    Result.map
+      (fun lanes -> Op { kernel = Krun { run = k; signed }; batch; lanes })
+      (map_result (map_result int64_of_token) (chunks n toks))
+  in
+  let with_sign toks f =
+    match toks with
+    | sign :: rest when k.tagged ->
+        Result.bind (signedness_of_token sign) (fun signed -> f signed rest)
+    | _ -> f false toks
+  in
+  if not batch then
+    if List.length args <> n + Bool.to_int k.tagged then
+      fail name " takes %s" k.takes
+    else with_sign args op
+  else if args = [] && k.tagged then
+    fail name " needs a signedness and operand %ss" group
+  else
+    with_sign args (fun signed toks ->
+        let count = List.length toks in
+        if count = 0 then fail name " needs at least one operand %s" group
+        else if count mod n <> 0 then
+          fail name " takes %s operand %ss (%s)" (String.concat " " k.args)
+            group stray
+        else if count / n > k.batch_cap then
+          fail name " takes at most %d operand %ss" k.batch_cap group
+        else op signed toks)
+
+(* The verb table: MUL, DIV and one row per served run kernel. *)
+let parsers =
+  (kernel_verb Kmul, parse_consts Kmul)
+  :: (kernel_verb Kdiv, parse_consts Kdiv)
+  :: List.map (fun k -> (k.Hppa_w64.verb, parse_run k)) Hppa_w64.kernels
+
+(* Batch replies open "OK <VERB>B k=<K>" — derived from the same table,
+   so a new kernel's batch form frames correctly with no extra code. *)
+let is_batch_reply s =
+  List.exists (fun (name, _) -> starts_with ("OK " ^ name ^ "B k=") s) parsers
+
+(* "<VERB>" is the scalar form, "<VERB>B" the batch form of one row. *)
+let parse_op cmd args =
+  match List.assoc_opt cmd parsers with
+  | Some parse -> Some (parse cmd ~batch:false args)
   | None ->
       let n = String.length cmd in
       if n > 1 && cmd.[n - 1] = 'B' then
-        Option.map (fun k -> (k, true)) (find (String.sub cmd 0 (n - 1)))
+        Option.map
+          (fun parse -> parse cmd ~batch:true args)
+          (List.assoc_opt (String.sub cmd 0 (n - 1)) parsers)
       else None
 
 let parse line =
@@ -302,11 +225,8 @@ let parse line =
     | [] -> Error "parse empty request"
     | cmd :: rest -> (
         let cmd = String.uppercase_ascii cmd in
-        match kernel_of_verb cmd with
-        | Some (kernel, batch) ->
-            Result.map
-              (fun lanes -> Op { kernel; batch; lanes })
-              (parse_lanes kernel ~batch rest)
+        match parse_op cmd rest with
+        | Some parsed -> parsed
         | None -> (
             match (cmd, rest) with
             | "EVAL", entry :: args ->
@@ -336,25 +256,22 @@ let parse line =
 (* Canonical rendering. Scalar requests print exactly as their
    normalized wire form — that string is the shard-cache key, so "MUL 7"
    and " mul  7 " share one entry. Batch lanes print space-separated in
-   lane order with the signedness tag emitted once (the parser
-   guarantees all lanes of a W64 batch share it). *)
-let pp_lanes ppf lanes =
-  (match lanes with
-  | Pair { signed; _ } :: _ ->
-      Format.fprintf ppf " %s" (if signed then "s" else "u")
-  | _ -> ());
-  List.iter
-    (function
-      | Const n -> Format.fprintf ppf " %ld" n
-      | Pair { x; y; _ } -> Format.fprintf ppf " %Ld %Ld" x y
-      | Triple { xhi; xlo; y } -> Format.fprintf ppf " %Ld %Ld %Ld" xhi xlo y)
-    lanes
+   lane order, after the kernel's signedness tag when its wire carries
+   one. *)
+let pp_op : type lane.
+    Format.formatter -> lane kernel -> bool -> lane list -> unit =
+ fun ppf kernel batch lanes ->
+  Format.fprintf ppf "%s%s" (kernel_verb kernel) (if batch then "B" else "");
+  match kernel with
+  | Kmul -> List.iter (Format.fprintf ppf " %ld") lanes
+  | Kdiv -> List.iter (Format.fprintf ppf " %ld") lanes
+  | Krun { run; signed } ->
+      if run.Hppa_w64.tagged then
+        Format.fprintf ppf " %s" (if signed then "s" else "u");
+      List.iter (List.iter (Format.fprintf ppf " %Ld")) lanes
 
 let pp_request ppf = function
-  | Op { kernel; batch; lanes } ->
-      Format.fprintf ppf "%s%s%a" (kernel_verb kernel)
-        (if batch then "B" else "")
-        pp_lanes lanes
+  | Op { kernel; batch; lanes } -> pp_op ppf kernel batch lanes
   | Eval (e, args) ->
       Format.fprintf ppf "EVAL %s" e;
       List.iter (fun w -> Format.fprintf ppf " %ld" w) args
@@ -366,5 +283,4 @@ let pp_request ppf = function
 (* The normalized scalar form of one lane — the cache key shared by the
    scalar verb and every batch lane carrying the same operand. *)
 let lane_key kernel lane =
-  Format.asprintf "%a" pp_request
-    (Op { kernel; batch = false; lanes = [ lane ] })
+  Format.asprintf "%a" (fun ppf () -> pp_op ppf kernel false [ lane ]) ()

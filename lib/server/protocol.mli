@@ -28,20 +28,21 @@
     corresponding scalar request would have produced (["OK ..."] or,
     e.g. for a zero divisor lane, ["ERR ..."]).
 
-    The W64 verbs carry their run-time operands on the request line:
-    a signedness token ([u] or [s]) followed by signed decimal int64
-    operands (the canonical form {!pp_request} prints; [0x..] literal
-    syntax is also accepted on input). The batch forms take whitespace-
-    separated [x y] pairs — an odd operand count, a bad signedness, or
-    any malformed operand rejects the whole batch (a partial batch
-    would desynchronize the lane-indexed reply). Divide lanes that trap
-    reply ["ERR trap ..."] without poisoning the batch.
+    The W64 verbs carry their run-time operands on the request line as
+    signed decimal int64 dwords (the canonical form {!pp_request}
+    prints; [0x..] literal syntax is also accepted on input), after a
+    signedness token ([u] or [s]) on the verbs whose wire carries one.
+    The batch forms take the dwords of one lane after another. A wrong
+    operand count, a bad signedness, or any malformed operand rejects
+    the whole batch (a partial batch would desynchronize the
+    lane-indexed reply). Divide lanes that trap reply ["ERR trap ..."]
+    without poisoning the batch.
 
-    Every plan-producing verb above is one row of an internal dispatch
-    table keyed by {!kernel}: scalar/batch parsing, verb naming,
-    canonical rendering, cache keys and batch-header recognition all
-    derive from the row, so adding a verb means one {!kernel}
-    constructor plus one table row — not four hand-written code sites.
+    Every plan-producing verb is one {!kernel}: [MUL], [DIV], and one
+    per row of {!Hppa_w64.kernels}, the table of served run-time-operand
+    kernels. Parsing, error strings, verb naming, canonical rendering,
+    cache keys, batch caps and batch-header recognition all read the
+    row, so a new W64 verb is one row in that table — no code here.
 
     Parsing is total: {!parse} never raises, whatever the input bytes.
     Number arguments accept OCaml int literal syntax ([0x..] included)
@@ -49,27 +50,22 @@
 
 module Word = Hppa_word.Word
 
-type w64_op = W64_mul | W64_div | W64_rem
-
-(** A plan-producing kernel — one row of the dispatch table. [Kdivl] is
-    the 128/64 divide ([divU128by64]). *)
-type kernel = Kmul | Kdiv | Kw64 of w64_op | Kdivl
-
-(** One operand lane of an [Op] request. [Const] lanes belong to
-    [Kmul]/[Kdiv], [Pair] lanes to [Kw64 _], [Triple] lanes to [Kdivl]
-    (unsigned 128-bit dividend as two dwords, then the divisor dword);
-    {!parse} guarantees the shape matches the kernel and that all lanes
-    of one request share a signedness. *)
-type lane =
-  | Const of int32
-  | Pair of { signed : bool; x : int64; y : int64 }
-  | Triple of { xhi : int64; xlo : int64; y : int64 }
+(** A plan-producing kernel, indexed by the type of its operand lanes:
+    an [int32] constant for [Kmul]/[Kdiv], the operand dwords of the
+    row's {!Hppa_w64.kernel.args} for [Krun] — so no request can carry a
+    lane of the wrong shape. [Krun] is a served run-time-operand kernel
+    at one signedness ([signed] is always [false] on a row whose wire
+    carries no tag). *)
+type _ kernel =
+  | Kmul : int32 kernel
+  | Kdiv : int32 kernel
+  | Krun : { run : Hppa_w64.kernel; signed : bool } -> int64 list kernel
 
 (** A parsed request. Every plan-producing verb — scalar or batch,
     32- or 64-bit — is the single [Op] constructor; a scalar request is
     an [Op] with [batch = false] and exactly one lane. *)
 type request =
-  | Op of { kernel : kernel; batch : bool; lanes : lane list }
+  | Op : { kernel : 'lane kernel; batch : bool; lanes : 'lane list } -> request
   | Eval of string * Word.t list
   | Stats
   | Metrics
@@ -82,20 +78,13 @@ val mul : int32 -> request
 val div : int32 -> request
 (** [div d] is the scalar [DIV d] request. *)
 
-val w64 : w64_op -> signed:bool -> int64 -> int64 -> request
-(** [w64 op ~signed x y] is the scalar [W64MUL]/[W64DIV]/[W64REM]
-    request. *)
-
-val divl : xhi:int64 -> xlo:int64 -> int64 -> request
-(** [divl ~xhi ~xlo y] is the scalar [W64DIVL] request: the unsigned
-    128-bit dividend [(xhi:xlo)] divided by the dword [y]. *)
+val run : Hppa_w64.kernel -> signed:bool -> int64 list -> request
+(** [run k ~signed dwords] is the scalar request of row [k], e.g.
+    [run Hppa_w64.mul ~signed:false [x; y]] is [W64MUL u x y]. *)
 
 val verb : request -> string
 (** The command word of a request (["MUL"], ["MULB"], ["EVAL"], ...) —
     used as the [verb] label on per-verb latency histograms. *)
-
-val kernel_verb : kernel -> string
-(** The scalar wire verb of a kernel; the batch verb appends ["B"]. *)
 
 val max_line_bytes : int
 (** Longest accepted request line (1024); longer lines are rejected with
@@ -104,15 +93,8 @@ val max_line_bytes : int
 
 val max_batch_operands : int
 (** Most operands one [MULB]/[DIVB] request may carry (64) — sized so a
-    maximal batch still fits in {!max_line_bytes}. *)
-
-val max_w64_batch_pairs : int
-(** Most operand pairs one [W64MULB]/[W64DIVB]/[W64REMB] request may
-    carry (16) — int64 decimal tokens are up to 20 bytes, so a maximal
-    pair batch still fits in {!max_line_bytes}. *)
-
-val max_divl_batch_triples : int
-(** Most operand triples one [W64DIVLB] request may carry (10). *)
+    maximal batch still fits in {!max_line_bytes}. A W64 batch's cap is
+    its row's {!Hppa_w64.kernel.batch_cap}. *)
 
 val parse : string -> (request, string) result
 (** Parse one request line (no trailing newline; a trailing ['\r'] is
@@ -138,7 +120,7 @@ val pp_request : Format.formatter -> request -> unit
 (** Canonical rendering; for a scalar [Op] this is the normalized wire
     form and doubles as the shard-cache key. *)
 
-val lane_key : kernel -> lane -> string
+val lane_key : 'lane kernel -> 'lane -> string
 (** [lane_key kernel lane] is the normalized scalar wire form of one
     lane (e.g. ["MUL 625"]) — the cache key shared by the scalar verb
     and every batch lane carrying the same operand. *)

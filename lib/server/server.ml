@@ -124,91 +124,33 @@ let cache_plan t key payload artifact =
   Hashtbl.replace t.artifacts key artifact;
   Mutex.unlock t.art_lock
 
-let hppa_op = function
-  | Protocol.W64_mul -> Hppa_w64.Mul
-  | Protocol.W64_div -> Hppa_w64.Div
-  | Protocol.W64_rem -> Hppa_w64.Rem
-
 (* Compute one shard's cache misses, on that shard's worker domain.
-   MUL/DIV lanes are pure selector calls; W64 lanes carry run-time
-   operands, and two or more of them go through one Machine.Batch SoA
-   dispatch (per-lane cycles equal the scalar engine's, so the reply
-   bytes cannot differ from the scalar path). Successful lanes are
-   cached here — on the owning worker — before the results travel back
-   to the event loop. *)
-let compute_misses t kernel mach misses =
+   MUL/DIV lanes are pure selector calls; a run kernel's lanes carry
+   run-time operands and go through Plan.run, which runs two or more of
+   them as one Machine.Batch SoA dispatch (per-lane cycles equal the
+   scalar engine's, so the reply bytes cannot differ from the scalar
+   path). Successful lanes are cached here — on the owning worker —
+   before the results travel back to the event loop. *)
+let compute_misses (type lane) t (kernel : lane Protocol.kernel) mach
+    (misses : (string * lane) list) =
   let require_certified = t.cfg.certified in
   let obs = t.obs in
   let results =
-    match (kernel : Protocol.kernel) with
+    match kernel with
     | Protocol.Kmul ->
         List.map
-          (fun (key, lane) ->
-            match lane with
-            | Protocol.Const n -> (key, Plan.mul ~obs ~require_certified n)
-            | Protocol.Pair _ | Protocol.Triple _ ->
-                (key, Error "internal lane shape"))
+          (fun (key, n) -> (key, Plan.mul ~obs ~require_certified n))
           misses
     | Protocol.Kdiv ->
         List.map
-          (fun (key, lane) ->
-            match lane with
-            | Protocol.Const d -> (key, Plan.div ~obs ~require_certified d)
-            | Protocol.Pair _ | Protocol.Triple _ ->
-                (key, Error "internal lane shape"))
+          (fun (key, d) -> (key, Plan.div ~obs ~require_certified d))
           misses
-    | Protocol.Kw64 pop -> (
-        let op = hppa_op pop in
-        let mach = Lazy.force mach in
-        match misses with
-        | [ (key, Protocol.Pair { signed; x; y }) ] ->
-            [
-              ( key,
-                Plan.w64 ~obs ~require_certified mach ~fuel:t.cfg.fuel op
-                  ~signed x y );
-            ]
-        | _ ->
-            let signed =
-              match misses with
-              | (_, Protocol.Pair { signed; _ }) :: _ -> signed
-              | _ -> false
-            in
-            let pairs =
-              List.map
-                (fun (_, lane) ->
-                  match lane with
-                  | Protocol.Pair { x; y; _ } -> (x, y)
-                  | Protocol.Const _ | Protocol.Triple _ -> (0L, 0L))
-                misses
-            in
-            let rs =
-              Plan.w64_batch ~obs ~require_certified mach ~fuel:t.cfg.fuel op
-                ~signed pairs
-            in
-            List.map2 (fun (key, _) r -> (key, r)) misses rs)
-    | Protocol.Kdivl -> (
-        let mach = Lazy.force mach in
-        match misses with
-        | [ (key, Protocol.Triple { xhi; xlo; y }) ] ->
-            [
-              ( key,
-                Plan.divl ~obs ~require_certified mach ~fuel:t.cfg.fuel ~xhi
-                  ~xlo y );
-            ]
-        | _ ->
-            let triples =
-              List.map
-                (fun (_, lane) ->
-                  match lane with
-                  | Protocol.Triple { xhi; xlo; y } -> (xhi, xlo, y)
-                  | Protocol.Const _ | Protocol.Pair _ -> (0L, 0L, 0L))
-                misses
-            in
-            let rs =
-              Plan.divl_batch ~obs ~require_certified mach ~fuel:t.cfg.fuel
-                triples
-            in
-            List.map2 (fun (key, _) r -> (key, r)) misses rs)
+    | Protocol.Krun { run; signed } ->
+        List.map2
+          (fun (key, _) r -> (key, r))
+          misses
+          (Plan.run ~obs ~require_certified (Lazy.force mach)
+             ~fuel:t.cfg.fuel run ~signed (List.map snd misses))
   in
   List.iter
     (fun (key, r) ->
@@ -406,9 +348,9 @@ let respond t line =
 
 let warm_compute t (req : Protocol.request) =
   match req with
-  | Protocol.Op { kernel = Protocol.Kmul; lanes = [ Protocol.Const n ]; _ } ->
+  | Protocol.Op { kernel = Protocol.Kmul; lanes = [ n ]; _ } ->
       Some (Plan.mul ~obs:t.obs ~require_certified:t.cfg.certified n)
-  | Protocol.Op { kernel = Protocol.Kdiv; lanes = [ Protocol.Const d ]; _ } ->
+  | Protocol.Op { kernel = Protocol.Kdiv; lanes = [ d ]; _ } ->
       Some (Plan.div ~obs:t.obs ~require_certified:t.cfg.certified d)
   | _ -> None
 

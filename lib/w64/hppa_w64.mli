@@ -1,28 +1,16 @@
 (** High-level interface to the double-word (W64) millicode family.
 
     The paper's routines operate on single 32-bit words; this library's
-    W64 family ({!Hppa.Mul_w64}, {!Hppa.Div_w64}) lifts them to 64-bit
-    operands passed as (hi:lo) register pairs — X in (arg0:arg1), Y in
-    (arg2:arg3). This module packs [int64] values into that convention,
-    runs the entries on a {!Hppa_machine.Machine} (scalar or batched),
-    and provides the bit-exact two-word OCaml reference the differential
-    suites pin against. *)
+    W64 family ({!Hppa.Mul_w64}, {!Hppa.Div_w64}, {!Hppa.Div_u128}) lifts
+    them to 64-bit operands passed as (hi:lo) register pairs — X in
+    (arg0:arg1), Y in (arg2:arg3). This module holds {!kernels}, the one
+    table of the served run-time-operand kernels: which entry each verb
+    runs, how its operand dwords are packed into registers and its
+    result dwords unpacked, its bit-exact two-word OCaml reference, and
+    its batch cap. The wire protocol, the plan renderer, the server and
+    the selector's W64 millicode strategies all read this table. *)
 
 type op = Mul | Div | Rem
-
-val entry : signed:bool -> op -> string
-(** The millicode entry implementing the operation: [mulU128]/[mulI128]
-    (full 128-bit product), [divU64w]/[divI64w], [remU64w]/[remI64w]
-    (truncating 64/64 divide and remainder). *)
-
-val entries : string list
-(** All six public W64 entries. *)
-
-val op_of_entry : string -> op
-(** Inverse of {!entry}; raises [Invalid_argument] off the family. *)
-
-val signed_entry : string -> bool
-(** Whether the entry is the signed variant. *)
 
 (** {1 Register pairs} *)
 
@@ -32,19 +20,7 @@ val lo32 : int64 -> Hppa_word.Word.t
 val join : Hppa_word.Word.t -> Hppa_word.Word.t -> int64
 (** [join hi lo] reassembles a dword from a register pair. *)
 
-val operands : int64 -> int64 -> Hppa_word.Word.t list
-(** [operands x y] is the four-word argument list
-    [[hi32 x; lo32 x; hi32 y; lo32 y]] matching the W64 calling
-    convention. *)
-
-val divl_entry : string
-(** ["divU128by64"], the three-operand 128/64 divide. *)
-
-val operands_divl : xhi:int64 -> xlo:int64 -> int64 -> Hppa_word.Word.t list
-(** The six-word argument list of {!divl_entry}: the 128-bit dividend
-    [(xhi:xlo)] in the two arg pairs and the divisor in (ret0:ret1). *)
-
-(** {1 Reference model and execution} *)
+(** {1 Outcomes} *)
 
 (** Every entry leaves two architectural result dwords: [ret] in
     (ret0:ret1) — the product's high dword, the quotient, or the
@@ -58,49 +34,113 @@ type outcome =
 val outcome_equal : outcome -> outcome -> bool
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val reference : string -> int64 -> int64 -> outcome
-(** The two-word OCaml model of the named entry, including its trap
-    behaviour (divide by zero breaks with
-    {!Hppa_machine.Trap.divide_by_zero_code}; signed [-2{^63} / -1]
-    breaks with {!Hppa.Div_ext.overflow_break_code}). *)
+(** {1 The kernel table} *)
 
-val reference_divl : xhi:int64 -> xlo:int64 -> int64 -> outcome
-(** The OCaml model of {!divl_entry} over {!Hppa_word.U128}: quotient
-    dword in [ret], remainder in [arg]; divide by zero breaks with
+(** One served run-time-operand kernel: a wire verb and everything the
+    layers above need to parse, run, check and render it. *)
+type kernel = {
+  verb : string;
+      (** scalar wire verb (["W64MUL"]); the batch verb appends ["B"] *)
+  entries : string * string;
+      (** the millicode entry run for an unsigned and for a signed
+          request *)
+  tagged : bool;
+      (** whether the wire carries a [u]/[s] signedness tag; an untagged
+          kernel is always unsigned *)
+  args : string list;
+      (** names of the operand dwords, in wire and register order (their
+          count is the dwords a lane takes) *)
+  takes : string;
+      (** what one scalar request takes, for the arity error ("a
+          signedness and two integers") *)
+  pack : int64 list -> Hppa_word.Word.t list;
+      (** operand dwords to the entry's argument words *)
+  unpack : ret:int64 -> arg:int64 -> (string * int64) list;
+      (** the named result dwords a reply reports *)
+  reference : signed:bool -> int64 list -> outcome;
+      (** the two-word OCaml model of the entry, traps included; raises
+          [Invalid_argument] on a wrong operand count *)
+  batch_cap : int;
+      (** most lanes one batch request may carry, sized so a maximal
+          batch fits a 1024-byte request line *)
+}
+
+val mul : kernel
+(** [W64MUL]: 64x64 multiply, [mulU128]/[mulI128], the 128-bit product
+    as [hi]/[lo]. *)
+
+val div : kernel
+(** [W64DIV]: truncating 64/64 divide, [divU64w]/[divI64w], [q] and
+    [r]. A zero divisor breaks with
+    {!Hppa_machine.Trap.divide_by_zero_code}; signed [-2{^63} / -1]
+    with {!Hppa.Div_ext.overflow_break_code}. *)
+
+val rem : kernel
+(** [W64REM]: the remainder, [remU64w]/[remI64w], traps as {!div}. *)
+
+val divl : kernel
+(** [W64DIVL]: the untagged 128/64 divide [divU128by64] of the dividend
+    [(xhi:xlo)] by [y], which rides in (ret0:ret1) as the fifth and
+    sixth argument words. A zero divisor breaks with
     {!Hppa_machine.Trap.divide_by_zero_code} and a dividend high dword
     [>=] the divisor (unrepresentable quotient) with
     {!Hppa.Div_ext.overflow_break_code}. *)
 
-val read_outcome :
-  get:(Reg.t -> Hppa_word.Word.t) -> Hppa_machine.Cpu.outcome -> outcome
-(** Decode a machine outcome through a register reader (scalar machine
-    or one batch lane). *)
+val kernels : kernel list
+(** The table: [[mul; div; rem; divl]]. *)
 
-val call : ?fuel:int -> Hppa_machine.Machine.t -> string -> x:int64 -> y:int64 -> outcome
-(** Pack the operands, call the entry, decode the result dwords. *)
+val runs : (kernel * bool) list
+(** Every (kernel, signed) pair the wire can name, in table order:
+    both signednesses of a tagged kernel, unsigned only otherwise. *)
+
+val kernel_entry : kernel -> signed:bool -> string
+(** The entry a kernel runs for the given signedness. *)
+
+val of_op : op -> kernel
+(** The two-operand kernel of an operation. *)
+
+val entry : signed:bool -> op -> string
+(** [kernel_entry (of_op op) ~signed]: [mulU128]/[mulI128],
+    [divU64w]/[divI64w], [remU64w]/[remI64w]. *)
+
+val operands : int64 -> int64 -> Hppa_word.Word.t list
+(** [operands x y] is the four-word argument list
+    [[hi32 x; lo32 x; hi32 y; lo32 y]] of the two-operand kernels. *)
+
+val reference : string -> int64 -> int64 -> outcome
+(** The two-operand model of the named entry; raises [Invalid_argument]
+    off the two-operand kernels. *)
+
+val divl_entry : string
+(** ["divU128by64"], the entry of {!divl}. *)
+
+val operands_divl : xhi:int64 -> xlo:int64 -> int64 -> Hppa_word.Word.t list
+(** The six-word argument list of {!divl}. *)
+
+val reference_divl : xhi:int64 -> xlo:int64 -> int64 -> outcome
+(** {!divl}'s model over {!Hppa_word.U128}: quotient dword in [ret],
+    remainder in [arg]. *)
+
+(** {1 Execution} *)
+
+val call :
+  ?fuel:int ->
+  Hppa_machine.Machine.t ->
+  kernel ->
+  signed:bool ->
+  int64 list ->
+  outcome
+(** Pack the operand dwords, call the kernel's entry, decode the result
+    dwords. *)
 
 val call_cycles :
-  ?fuel:int -> Hppa_machine.Machine.t -> string -> x:int64 -> y:int64 -> outcome * int
-(** {!call} plus the cycle count of the call. *)
-
-val call_divl :
   ?fuel:int ->
   Hppa_machine.Machine.t ->
-  xhi:int64 ->
-  xlo:int64 ->
-  int64 ->
-  outcome
-(** Pack the three operand dwords, call {!divl_entry}, decode the
-    quotient/remainder dwords. *)
-
-val call_divl_cycles :
-  ?fuel:int ->
-  Hppa_machine.Machine.t ->
-  xhi:int64 ->
-  xlo:int64 ->
-  int64 ->
+  kernel ->
+  signed:bool ->
+  int64 list ->
   outcome * int
-(** {!call_divl} plus the cycle count of the call. *)
+(** {!call} plus the cycle count of the call. *)
 
 val batch_outcome : Hppa_machine.Machine.Batch.t -> lane:int -> outcome
 (** Decode one lane of a batched dispatch. *)

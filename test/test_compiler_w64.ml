@@ -318,7 +318,7 @@ let check_divl ~xhi ~xlo y =
   Alcotest.check outcome
     (Printf.sprintf "(%Lx:%Lx) / %Lx" xhi xlo y)
     (W64.reference_divl ~xhi ~xlo y)
-    (W64.call_divl mach ~xhi ~xlo y)
+    (W64.call mach W64.divl ~signed:false [ xhi; xlo; y ])
 
 let test_divl_directed () =
   List.iter
@@ -350,7 +350,7 @@ let prop_divl_matches_reference =
       Machine.reset mach;
       W64.outcome_equal
         (W64.reference_divl ~xhi ~xlo y)
-        (W64.call_divl mach ~xhi ~xlo y))
+        (W64.call mach W64.divl ~signed:false [ xhi; xlo; y ]))
 
 let prop_divl_batch_matches_scalar =
   QCheck.Test.make ~name:"batched divU128by64 = scalar lanes" ~count:60

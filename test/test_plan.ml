@@ -533,11 +533,16 @@ let test_w64_selection () =
         | Plan.Mul_plan _ | Plan.Div_plan _ | Plan.Pair_chain _ ->
             Alcotest.failf "%s: w64 emission is not millicode" id
       in
+      (* The target is the served row's entry, and behaves as its model. *)
+      let k = Plan.w64_kernel req.Plan.op in
+      let signed = req.Plan.signedness = Plan.Signed in
+      Alcotest.(check string)
+        (id ^ " target") (Hppa_w64.kernel_entry k ~signed) target;
       let mach = machine_of em in
       List.iter
         (fun (x, y) ->
-          let got = Hppa_w64.call mach target ~x ~y in
-          let want = Hppa_w64.reference target x y in
+          let got = Hppa_w64.call mach k ~signed [ x; y ] in
+          let want = k.Hppa_w64.reference ~signed [ x; y ] in
           if not (Hppa_w64.outcome_equal got want) then
             Alcotest.failf "%s 0x%Lx 0x%Lx: %a want %a" id x y
               Hppa_w64.pp_outcome got Hppa_w64.pp_outcome want)

@@ -38,10 +38,15 @@ let with_server ?(workers = 1) ?fuel ?(certified = false) f =
 (* ------------------------------------------------------------------ *)
 (* Protocol parsing                                                    *)
 
+(* Requests compare by their canonical rendering, which spells out the
+   verb, batch form, signedness tag and every lane (a run kernel's row
+   holds functions, so structural equality does not apply). *)
+let show r = Format.asprintf "%a" Protocol.pp_request r
+
 let req =
   Alcotest.testable
     (fun ppf r -> Protocol.pp_request ppf r)
-    (fun a b -> a = b)
+    (fun a b -> String.equal (show a) (show b))
 
 let parse_ok line expected () =
   match Protocol.parse line with
@@ -53,17 +58,10 @@ let parse_err line () =
   | Ok _ -> Alcotest.failf "%S accepted" line
   | Error _ -> ()
 
-let consts kernel batch ns =
-  Protocol.Op
-    { kernel; batch; lanes = List.map (fun n -> Protocol.Const n) ns }
+let consts kernel batch ns = Protocol.Op { kernel; batch; lanes = ns }
 
-let pairs op signed ps =
-  Protocol.Op
-    {
-      kernel = Protocol.Kw64 op;
-      batch = true;
-      lanes = List.map (fun (x, y) -> Protocol.Pair { signed; x; y }) ps;
-    }
+let batch run signed lanes =
+  Protocol.Op { kernel = Protocol.Krun { run; signed }; batch = true; lanes }
 
 let test_parse_valid () =
   parse_ok "MUL 625" (Protocol.mul 625l) ();
@@ -82,34 +80,29 @@ let test_parse_valid () =
   parse_ok "EVAL mulI 99 -7" (Protocol.Eval ("mulI", [ 99l; -7l ])) ();
   parse_ok "EVAL divU" (Protocol.Eval ("divU", [])) ();
   parse_ok "W64MUL u 123 456"
-    (Protocol.w64 Protocol.W64_mul ~signed:false 123L 456L)
+    (Protocol.run Hppa_w64.mul ~signed:false [ 123L; 456L ])
     ();
   parse_ok "w64mul s -7 3"
-    (Protocol.w64 Protocol.W64_mul ~signed:true (-7L) 3L)
+    (Protocol.run Hppa_w64.mul ~signed:true [ -7L; 3L ])
     ();
   parse_ok "W64DIV u 0x100000000 3"
-    (Protocol.w64 Protocol.W64_div ~signed:false 0x1_0000_0000L 3L)
+    (Protocol.run Hppa_w64.div ~signed:false [ 0x1_0000_0000L; 3L ])
     ();
   parse_ok "W64REM s 9223372036854775807 -1"
-    (Protocol.w64 Protocol.W64_rem ~signed:true Int64.max_int (-1L))
+    (Protocol.run Hppa_w64.rem ~signed:true [ Int64.max_int; -1L ])
     ();
   parse_ok "W64MULB u 1 2 3 4"
-    (pairs Protocol.W64_mul false [ (1L, 2L); (3L, 4L) ])
+    (batch Hppa_w64.mul false [ [ 1L; 2L ]; [ 3L; 4L ] ])
     ();
-  parse_ok "W64DIVB s 10 3" (pairs Protocol.W64_div true [ (10L, 3L) ]) ();
-  parse_ok "W64DIVL 0 100 7" (Protocol.divl ~xhi:0L ~xlo:100L 7L) ();
-  parse_ok "w64divl 0x1 0 3" (Protocol.divl ~xhi:1L ~xlo:0L 3L) ();
+  parse_ok "W64DIVB s 10 3" (batch Hppa_w64.div true [ [ 10L; 3L ] ]) ();
+  parse_ok "W64DIVL 0 100 7"
+    (Protocol.run Hppa_w64.divl ~signed:false [ 0L; 100L; 7L ])
+    ();
+  parse_ok "w64divl 0x1 0 3"
+    (Protocol.run Hppa_w64.divl ~signed:false [ 1L; 0L; 3L ])
+    ();
   parse_ok "W64DIVLB 0 100 7 1 0 3"
-    (Protocol.Op
-       {
-         kernel = Protocol.Kdivl;
-         batch = true;
-         lanes =
-           [
-             Protocol.Triple { xhi = 0L; xlo = 100L; y = 7L };
-             Protocol.Triple { xhi = 1L; xlo = 0L; y = 3L };
-           ];
-       })
+    (batch Hppa_w64.divl false [ [ 0L; 100L; 7L ]; [ 1L; 0L; 3L ] ])
     ();
   parse_ok "STATS" Protocol.Stats ();
   parse_ok "METRICS" Protocol.Metrics ();
@@ -155,7 +148,7 @@ let test_parse_invalid () =
       "W64REMB s 1 2 three 4";  (* one bad operand rejects the batch *)
       "W64MULB u "
       ^ String.concat " "
-          (List.init (2 * (Protocol.max_w64_batch_pairs + 1)) string_of_int);
+          (List.init (2 * (Hppa_w64.mul.batch_cap + 1)) string_of_int);
       (* W64DIVL: exactly three operands, no signedness tag (the 128/64
          divide is unsigned by definition). *)
       "W64DIVL";
@@ -166,7 +159,7 @@ let test_parse_invalid () =
       "W64DIVLB 1 2 3 4";  (* operand count not a multiple of 3 *)
       "W64DIVLB "
       ^ String.concat " "
-          (List.init (3 * (Protocol.max_divl_batch_triples + 1)) string_of_int);
+          (List.init (3 * (Hppa_w64.divl.batch_cap + 1)) string_of_int);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -388,6 +381,35 @@ let test_pool_concurrent_submitters () =
   List.iter Thread.join ths;
   Pool.shutdown p;
   Alcotest.(check int) "sum" (399 * 400 / 2) (Atomic.get total)
+
+(* Fire-and-forget jobs are instrumented like submitted ones: every
+   [post] observes its queue wait, so the async serving path's
+   hppa_pool_wait_us is not stuck at zero samples. *)
+let test_pool_post_observes_wait () =
+  let obs = Obs.Registry.create () in
+  let p = Pool.create ~obs ~workers:2 ~init:(fun () -> ()) () in
+  let ran = Atomic.make 0 in
+  let n = 25 in
+  for i = 1 to n do
+    Pool.post p (fun () ->
+        Atomic.incr ran;
+        if i = 3 then failwith "posted job raises")
+  done;
+  Pool.shutdown p;
+  Alcotest.(check int) "every post ran" n (Atomic.get ran);
+  let find name =
+    List.find_map
+      (fun (s : Obs.sample) ->
+        if s.Obs.name = name then Some s.Obs.value else None)
+      (Obs.Registry.snapshot obs)
+  in
+  (match find "hppa_pool_wait_us" with
+  | Some (Obs.Histogram_v { count; _ }) ->
+      Alcotest.(check int) "wait histogram count" n count
+  | _ -> Alcotest.fail "no hppa_pool_wait_us histogram");
+  match find "hppa_pool_job_exceptions_total" with
+  | Some (Obs.Counter_v k) -> Alcotest.(check int) "exceptions counted" 1 k
+  | _ -> Alcotest.fail "no hppa_pool_job_exceptions_total counter"
 
 (* ------------------------------------------------------------------ *)
 (* Plan determinism: the acceptance-criterion bytes                    *)
@@ -710,6 +732,95 @@ let test_w64_batch_byte_identity () =
           Alcotest.(check bool) "lane names the trap" true
             (contains ~needle:"trap" bad)
       | _ -> Alcotest.fail "missing lanes")
+
+(* One property over every row of Hppa_w64's kernel table, at each
+   signedness, on random operand dwords (zero divisors, -2^63 / -1 and
+   128/64 quotient overflows arise among them): the canonical form parses
+   back to the same request, a batch lane's cache key is the scalar
+   request's, and the scalar reply, the batch lane's reply and a reply
+   rendered from the row's reference model plus the run's cycles are
+   the same bytes. Scalar and batch replies come from two servers, so
+   neither answers from the other's cache. *)
+let run_view :
+    Protocol.request -> (Hppa_w64.kernel * bool * bool * int64 list list) option
+    = function
+  | Protocol.Op { kernel = Protocol.Krun { run; signed }; batch; lanes } ->
+      Some (run, signed, batch, lanes)
+  | _ -> None
+
+let check_round_trip r =
+  let line = show r in
+  match (Protocol.parse line, run_view r) with
+  | Ok back, Some (run, signed, batch, lanes) -> (
+      match run_view back with
+      | Some (run', signed', batch', lanes') ->
+          Alcotest.(check bool) (line ^ " row") true (run == run');
+          Alcotest.(check (triple bool bool (list (list int64))))
+            (line ^ " round trip") (signed, batch, lanes)
+            (signed', batch', lanes')
+      | None -> Alcotest.failf "%s parsed to another verb" line)
+  | Error e, _ -> Alcotest.failf "%s rejected: %s" line e
+  | Ok _, None -> Alcotest.failf "%s is not a run request" line
+
+let test_kernel_rows_property () =
+  let g = Prng.create 0x80E5L in
+  let dword () =
+    match Prng.int_range g 0 5 with
+    | 0 -> 0L
+    | 1 -> -1L
+    | 2 -> Int64.min_int
+    | 3 -> Int64.logand (Prng.next64 g) 0xffffffffL
+    | _ -> Prng.next64 g
+  in
+  let mach = Hppa.Millicode.machine () in
+  let fuel = (test_config 1).Server.Config.fuel in
+  with_server (fun scalar_srv ->
+      with_server (fun batch_srv ->
+          List.iter
+            (fun ((k : Hppa_w64.kernel), signed) ->
+              for _ = 1 to 12 do
+                let lanes =
+                  List.init
+                    (Prng.int_range g 2 5)
+                    (fun _ -> List.map (fun _ -> dword ()) k.args)
+                in
+                let kernel = Protocol.Krun { run = k; signed } in
+                let breq = Protocol.Op { kernel; batch = true; lanes } in
+                check_round_trip breq;
+                let blines =
+                  String.split_on_char '\n'
+                    (Server.respond batch_srv (show breq))
+                in
+                Alcotest.(check int)
+                  (show breq ^ " lines")
+                  (List.length lanes + 1)
+                  (List.length blines);
+                List.iter2
+                  (fun xs lane_reply ->
+                    let sreq = Protocol.run k ~signed xs in
+                    let line = show sreq in
+                    check_round_trip sreq;
+                    Alcotest.(check string)
+                      (line ^ " lane key") line
+                      (Protocol.lane_key kernel xs);
+                    Hppa_machine.Machine.reset mach;
+                    let _, cycles = Hppa_w64.call_cycles mach k ~signed xs in
+                    let modelled =
+                      match
+                        Plan.render ~fuel k ~signed xs
+                          (k.reference ~signed xs) cycles
+                      with
+                      | Ok payload -> Protocol.ok payload
+                      | Error detail -> Protocol.err detail
+                    in
+                    Alcotest.(check string)
+                      (line ^ " scalar = model") modelled
+                      (Server.respond scalar_srv line);
+                    Alcotest.(check string)
+                      (line ^ " batch lane = model") modelled lane_reply)
+                  lanes (List.tl blines)
+              done)
+            Hppa_w64.runs))
 
 let test_metrics_scrape () =
   with_server (fun srv ->
@@ -1115,6 +1226,233 @@ let golden_batches =
       ] );
   ]
 
+(* The W64 wire, pinned before its verbs became rows of one kernel
+   table: scalar and batch replies for every row and both signedness
+   tags (trapping lanes included), the exact error string of every
+   parse failure of each operand shape, and the artifact a certified
+   server records for every entry. Captured from the server as it stood
+   before that refactor, never regenerated from the code under test. *)
+
+let golden_w64_replies =
+  [
+    ( "W64MUL u 123 456",
+      "OK W64MUL signed=false x=123 y=456 hi=0 lo=56088 cycles=335 \
+       entry=mulU128" );
+    ( "W64MUL s -7 3",
+      "OK W64MUL signed=true x=-7 y=3 hi=-1 lo=-21 cycles=345 entry=mulI128" );
+    ( "W64MUL u -1 -1",
+      "OK W64MUL signed=false x=-1 y=-1 hi=-2 lo=1 cycles=1022 entry=mulU128" );
+    ( "W64MUL s -9223372036854775808 -1",
+      "OK W64MUL signed=true x=-9223372036854775808 y=-1 hi=0 \
+       lo=-9223372036854775808 cycles=504 entry=mulI128" );
+    ( "W64DIV u 10000000000 3",
+      "OK W64DIV signed=false x=10000000000 y=3 q=3333333333 r=1 cycles=175 \
+       entry=divU64w" );
+    ( "W64DIV s -7 3",
+      "OK W64DIV signed=true x=-7 y=3 q=-2 r=-1 cycles=195 entry=divI64w" );
+    ( "W64DIV s -9223372036854775808 -1",
+      "ERR trap divI64w: break trap (code 1)" );
+    ( "W64DIV s 5 0",
+      "ERR trap divI64w: break trap (code 0)" );
+    ( "W64REM u 100 7",
+      "OK W64REM signed=false x=100 y=7 r=2 cycles=177 entry=remU64w" );
+    ( "W64REM s -100 7",
+      "OK W64REM signed=true x=-100 y=7 r=-2 cycles=197 entry=remI64w" );
+    ( "W64REM u 5 0",
+      "ERR trap remU64w: break trap (code 0)" );
+    ( "W64REM s -9223372036854775808 -1",
+      "ERR trap remI64w: break trap (code 1)" );
+    ( "W64DIVL 0 100 7",
+      "OK W64DIVL xhi=0 xlo=100 y=7 q=14 r=2 cycles=172 entry=divU128by64" );
+    ( "W64DIVL 1 0 3",
+      "OK W64DIVL xhi=1 xlo=0 y=3 q=6148914691236517205 r=1 cycles=172 \
+       entry=divU128by64" );
+    ( "W64DIVL 5 0 5",
+      "ERR trap divU128by64: break trap (code 1)" );
+    ( "W64DIVL 0 5 0",
+      "ERR trap divU128by64: break trap (code 0)" );
+  ]
+
+let golden_w64_batches =
+  [
+    ( "W64MULB s -7 3 4294967297 4294967297",
+      [
+        "OK W64MULB k=2";
+        "OK W64MUL signed=true x=-7 y=3 hi=-1 lo=-21 cycles=345 entry=mulI128";
+        "OK W64MUL signed=true x=4294967297 y=4294967297 hi=1 lo=8589934593 \
+         cycles=330 entry=mulI128";
+      ] );
+    ( "W64MULB u 1 2 -1 -1",
+      [
+        "OK W64MULB k=2";
+        "OK W64MUL signed=false x=1 y=2 hi=0 lo=2 cycles=315 entry=mulU128";
+        "OK W64MUL signed=false x=-1 y=-1 hi=-2 lo=1 cycles=1022 entry=mulU128";
+      ] );
+    ( "W64DIVB u 10 3 5 0 -1 7",
+      [
+        "OK W64DIVB k=3";
+        "OK W64DIV signed=false x=10 y=3 q=3 r=1 cycles=175 entry=divU64w";
+        "ERR trap divU64w: break trap (code 0)";
+        "OK W64DIV signed=false x=-1 y=7 q=2635249153387078802 r=1 \
+         cycles=175 entry=divU64w";
+      ] );
+    ( "W64DIVB s -9223372036854775808 -1 100 -7",
+      [
+        "OK W64DIVB k=2";
+        "ERR trap divI64w: break trap (code 1)";
+        "OK W64DIV signed=true x=100 y=-7 q=-14 r=2 cycles=193 entry=divI64w";
+      ] );
+    ( "W64REMB s -100 7 5 0",
+      [
+        "OK W64REMB k=2";
+        "OK W64REM signed=true x=-100 y=7 r=-2 cycles=197 entry=remI64w";
+        "ERR trap remI64w: break trap (code 0)";
+      ] );
+    ( "W64REMB u 100 7 -1 10",
+      [
+        "OK W64REMB k=2";
+        "OK W64REM signed=false x=100 y=7 r=2 cycles=177 entry=remU64w";
+        "OK W64REM signed=false x=-1 y=10 r=5 cycles=177 entry=remU64w";
+      ] );
+    ( "W64DIVLB 0 100 7 5 0 5 1 0 3",
+      [
+        "OK W64DIVLB k=3";
+        "OK W64DIVL xhi=0 xlo=100 y=7 q=14 r=2 cycles=172 entry=divU128by64";
+        "ERR trap divU128by64: break trap (code 1)";
+        "OK W64DIVL xhi=1 xlo=0 y=3 q=6148914691236517205 r=1 cycles=172 \
+         entry=divU128by64";
+      ] );
+  ]
+
+let golden_parse_errors =
+  [
+    ("MUL",
+     "ERR parse MUL takes exactly one integer");
+    ("MUL 1 2",
+     "ERR parse MUL takes exactly one integer");
+    ("DIV",
+     "ERR parse DIV takes exactly one integer");
+    ("MULB",
+     "ERR parse MULB needs at least one integer");
+    ("DIVB",
+     "ERR parse DIVB needs at least one integer");
+    ("MUL 2a",
+     "ERR parse bad integer \"2a\"");
+    ("DIVB 1 x",
+     "ERR parse bad integer \"x\"");
+    ("MUL 99999999999999",
+     "ERR range 99999999999999 does not fit in 32 bits");
+    ("W64MUL",
+     "ERR parse W64MUL takes a signedness and two integers");
+    ("W64MUL u",
+     "ERR parse W64MUL takes a signedness and two integers");
+    ("W64MUL u 5",
+     "ERR parse W64MUL takes a signedness and two integers");
+    ("W64MUL u 5 7 9",
+     "ERR parse W64MUL takes a signedness and two integers");
+    ("W64MUL 5 7",
+     "ERR parse W64MUL takes a signedness and two integers");
+    ("W64MUL x 5 7",
+     "ERR parse bad signedness \"x\" (expected u or s)");
+    ("W64DIV u 99999999999999999999 3",
+     "ERR parse bad integer \"99999999999999999999\"");
+    ("W64REM s one 2",
+     "ERR parse bad integer \"one\"");
+    ("W64MULB",
+     "ERR parse W64MULB needs a signedness and operand pairs");
+    ("W64MULB u",
+     "ERR parse W64MULB needs at least one operand pair");
+    ("W64MULB x 1 2",
+     "ERR parse bad signedness \"x\" (expected u or s)");
+    ("W64DIVB u 1 2 3",
+     "ERR parse W64DIVB takes x y operand pairs (odd operand count)");
+    ("W64REMB s 1 2 three 4",
+     "ERR parse bad integer \"three\"");
+    ("W64DIVL",
+     "ERR parse W64DIVL takes three integers (dividend hi, dividend lo, \
+      divisor)");
+    ("W64DIVL 1 2",
+     "ERR parse W64DIVL takes three integers (dividend hi, dividend lo, \
+      divisor)");
+    ("W64DIVL 1 2 3 4",
+     "ERR parse W64DIVL takes three integers (dividend hi, dividend lo, \
+      divisor)");
+    ("W64DIVL u 1 2 3",
+     "ERR parse W64DIVL takes three integers (dividend hi, dividend lo, \
+      divisor)");
+    ("W64DIVL 1 two 3",
+     "ERR parse bad integer \"two\"");
+    ("W64DIVLB",
+     "ERR parse W64DIVLB needs at least one operand triple");
+    ("W64DIVLB 1 2 3 4",
+     "ERR parse W64DIVLB takes xhi xlo y operand triples (operand count not \
+      a multiple of three)");
+    ("W64DIVLB 1 2 x",
+     "ERR parse bad integer \"x\"");
+  ]
+
+let golden_certified_artifacts =
+  [
+    ( "W64DIV s -7 3",
+      "strategy=w64_div_millicode entry=via_divI64w insns=1 score=200 \
+       digest=3ad13812342f47b4d1627f10e1218b48 \
+       cert=body_equiv:678fca3da910a41af30b9b46417cfec1" );
+    ( "W64DIV u 10000000000 3",
+      "strategy=w64_div_millicode entry=via_divU64w insns=1 score=200 \
+       digest=be9d2d72758f0edfcd12eb0fa96f98ab \
+       cert=body_equiv:969829d713584a164244a3837d896ebb" );
+    ( "W64DIVL 0 100 7",
+      "strategy=w64_divl_millicode entry=via_divU128by64 insns=1 score=220 \
+       digest=032bc9a4b6d1f61b80bcc3c0e94d32bd \
+       cert=body_equiv:fad9cc36485f65e710dd52c81145c3b2" );
+    ( "W64MUL s -7 3",
+      "strategy=w64_mul_millicode entry=via_mulI128 insns=1 score=200 \
+       digest=aa7f4d3eb674a86a435a1c22392de6a3 \
+       cert=body_equiv:c93b772ecc707585da224524e4fd025d" );
+    ( "W64MUL u 123 456",
+      "strategy=w64_mul_millicode entry=via_mulU128 insns=1 score=200 \
+       digest=59a0a54d7dc79f2e41bd39be7e98ed02 \
+       cert=body_equiv:eb773133b713380b9488695b3cfd35ef" );
+    ( "W64REM s -100 7",
+      "strategy=w64_div_millicode entry=via_remI64w insns=1 score=200 \
+       digest=722a381a21c712cac141f876ebbb4065 \
+       cert=body_equiv:d471187893157f678fa867fe1a2178a8" );
+    ( "W64REM u 100 7",
+      "strategy=w64_div_millicode entry=via_remU64w insns=1 score=200 \
+       digest=ccbfc6b4c92b4b4c4d83937c54985e32 \
+       cert=body_equiv:e9c97c46874c8ffff69c124eb897b116" );
+  ]
+
+
+(* Exactly-the-cap batches: the header plus [k] copies of one lane. *)
+let golden_cap_batches =
+  let ones n tok = String.concat " " (List.init n (fun _ -> tok)) in
+  [
+    ( "MULB " ^ ones 64 "1",
+      "OK MULB k=64",
+      64,
+      List.assoc "MUL 1" golden_replies );
+    ( "W64MULB u " ^ ones 16 "1 1",
+      "OK W64MULB k=16",
+      16,
+      "OK W64MUL signed=false x=1 y=1 hi=0 lo=1 cycles=312 entry=mulU128" );
+    ( "W64DIVLB " ^ ones 10 "0 1 1",
+      "OK W64DIVLB k=10",
+      10,
+      "OK W64DIVL xhi=0 xlo=1 y=1 q=1 r=0 cycles=172 entry=divU128by64" );
+  ]
+
+(* ... and one more lane than the cap rejects the whole batch. *)
+let golden_over_cap =
+  let ones n tok = String.concat " " (List.init n (fun _ -> tok)) in
+  [
+    ("MULB " ^ ones 65 "1", "ERR parse MULB takes at most 64 integers");
+    ( "W64MULB u " ^ ones 17 "1 1",
+      "ERR parse W64MULB takes at most 16 operand pairs" );
+    ( "W64DIVLB " ^ ones 11 "0 1 1",
+      "ERR parse W64DIVLB takes at most 10 operand triples" );
+  ]
+
 let test_golden_replies () =
   with_server ~workers:2 (fun srv ->
       List.iter
@@ -1128,6 +1466,50 @@ let test_golden_replies () =
             (String.concat "\n" lines)
             (Server.respond srv request))
         golden_batches)
+
+let test_golden_w64_rows () =
+  with_server ~workers:2 (fun srv ->
+      List.iter
+        (fun (request, expected) ->
+          Alcotest.(check string) request expected (Server.respond srv request))
+        golden_w64_replies;
+      List.iter
+        (fun (request, lines) ->
+          Alcotest.(check string)
+            request
+            (String.concat "\n" lines)
+            (Server.respond srv request))
+        golden_w64_batches;
+      List.iter
+        (fun (request, header, k, lane) ->
+          Alcotest.(check string)
+            (String.sub request 0 12)
+            (String.concat "\n" (header :: List.init k (fun _ -> lane)))
+            (Server.respond srv request))
+        golden_cap_batches)
+
+let test_golden_parse_errors () =
+  with_server (fun srv ->
+      List.iter
+        (fun (request, expected) ->
+          Alcotest.(check string)
+            (String.sub request 0 (min 20 (String.length request)))
+            expected (Server.respond srv request))
+        (golden_parse_errors @ golden_over_cap))
+
+let test_golden_certified_artifacts () =
+  with_server ~certified:true (fun srv ->
+      List.iter
+        (fun (request, _) -> ignore (Server.respond srv request))
+        golden_certified_artifacts;
+      List.iter
+        (fun (key, expected) ->
+          match List.assoc_opt key (Server.artifacts srv) with
+          | Some a ->
+              Alcotest.(check string) key expected (Plan.render_artifact a)
+          | None -> Alcotest.failf "%s recorded no artifact" key)
+        golden_certified_artifacts)
+
 
 (* Shard-count independence: the reply bytes may not depend on how the
    cache is partitioned. *)
@@ -1440,6 +1822,8 @@ let suite =
         Alcotest.test_case "submit/shutdown" `Quick test_pool_submit;
         Alcotest.test_case "concurrent submitters" `Quick
           test_pool_concurrent_submitters;
+        Alcotest.test_case "post observes queue wait" `Quick
+          test_pool_post_observes_wait;
       ] );
     ( "server:determinism",
       [
@@ -1463,6 +1847,8 @@ let suite =
         Alcotest.test_case "divl semantics" `Quick test_divl_dispatch_semantics;
         Alcotest.test_case "divl batch byte identity" `Quick
           test_divl_batch_byte_identity;
+        Alcotest.test_case "kernel rows: parse, keys, replies" `Quick
+          test_kernel_rows_property;
         Alcotest.test_case "metrics scrape" `Quick test_metrics_scrape;
         Alcotest.test_case "selector metrics and artifacts" `Quick
           test_plan_selector_metrics;
@@ -1482,6 +1868,12 @@ let suite =
           test_golden_replies;
         Alcotest.test_case "shard-count byte identity" `Quick
           test_shard_count_byte_identity;
+        Alcotest.test_case "w64 rows, both tags, caps" `Quick
+          test_golden_w64_rows;
+        Alcotest.test_case "parse error strings" `Quick
+          test_golden_parse_errors;
+        Alcotest.test_case "certified w64 artifacts" `Quick
+          test_golden_certified_artifacts;
       ] );
     ( "server:pipeline",
       [

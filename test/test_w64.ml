@@ -1,7 +1,8 @@
 (* Differential coverage for the W64 (double-word) millicode family:
-   every entry pinned against the two-word OCaml reference on the
-   reference interpreter, the scalar threaded engine, and the batch
-   engine, over boundary operands, seeded sweeps and QCheck. *)
+   every row of Hppa_w64's kernel table, at each signedness, pinned
+   against the row's two-word OCaml reference on the reference
+   interpreter, the scalar threaded engine, and the batch engine, over
+   boundary operands, seeded sweeps and QCheck. *)
 
 module Word = Hppa_word.Word
 module Machine = Hppa_machine.Machine
@@ -18,16 +19,22 @@ let interp =
 
 let scalar = lazy (Millicode.machine ())
 
-let check_on mach label entry x y =
-  let got = W64.call (Lazy.force mach) entry ~x ~y in
-  let want = W64.reference entry x y in
-  if not (W64.outcome_equal got want) then
-    Alcotest.failf "%s %s 0x%Lx 0x%Lx = %a want %a" label entry x y
-      W64.pp_outcome got W64.pp_outcome want
+(* Every (kernel, signedness) the wire serves, from Hppa_w64's table,
+   pinned against the row's own reference model. *)
+let name (k, signed) = W64.kernel_entry k ~signed
 
-let check entry x y =
-  check_on interp "interp" entry x y;
-  check_on scalar "engine" entry x y
+let pp_dwords = Fmt.(list ~sep:sp (fmt "0x%Lx"))
+
+let check_on mach label (k, signed) xs =
+  let got = W64.call (Lazy.force mach) k ~signed xs in
+  let want = k.W64.reference ~signed xs in
+  if not (W64.outcome_equal got want) then
+    Alcotest.failf "%s %s %a = %a want %a" label (name (k, signed)) pp_dwords
+      xs W64.pp_outcome got W64.pp_outcome want
+
+let check run xs =
+  check_on interp "interp" run xs;
+  check_on scalar "engine" run xs
 
 (* The issue's boundary set plus a few neighbours. *)
 let boundary =
@@ -37,21 +44,40 @@ let boundary =
     0x123456789abcdefL; 0xdeadbeefcafebabeL;
   ]
 
+let arity (k, _) = List.length k.W64.args
+
+(* A row's operand dwords from an (x, y) pair: the two-operand rows take
+   it as is; the 128/64 divide takes the dividend (x mod y : not x) over
+   y, whose quotient fits a dword (a zero y traps either way). *)
+let lane run (x, y) =
+  if arity run = 2 then [ x; y ]
+  else
+    [
+      (if Int64.equal y 0L then x else Int64.unsigned_rem x y);
+      Int64.lognot x;
+      y;
+    ]
+
 let test_boundary_sweep () =
   List.iter
-    (fun entry ->
+    (fun run ->
       List.iter
-        (fun x -> List.iter (fun y -> check entry x y) boundary)
+        (fun x -> List.iter (fun y -> check run (lane run (x, y))) boundary)
         boundary)
-    W64.entries
+    W64.runs
 
 let test_trap_lanes () =
   List.iter
-    (fun x ->
-      List.iter (fun e -> check e x 0L) [ "divU64w"; "divI64w"; "remU64w"; "remI64w" ])
-    [ 0L; 1L; Int64.min_int; -1L; 0x123456789abcdefL ];
-  (* Signed quotient overflow: -2^63 / -1 breaks; unsigned does not. *)
-  List.iter (fun e -> check e Int64.min_int (-1L)) W64.entries
+    (fun run ->
+      List.iter
+        (fun x -> check run (lane run (x, 0L)))
+        [ 0L; 1L; Int64.min_int; -1L; 0x123456789abcdefL ];
+      (* Signed quotient overflow: -2^63 / -1 breaks; unsigned does not. *)
+      check run (lane run (Int64.min_int, -1L));
+      (* The 128/64 quotient overflows once the dividend's high dword
+         reaches the divisor. *)
+      if arity run = 3 then check run [ 5L; 0L; 5L ])
+    W64.runs
 
 let seeded_operands n =
   let g = Hppa_dist.Prng.create 0x57364L in
@@ -69,10 +95,10 @@ let seeded_operands n =
 let test_seeded_sweep () =
   let pairs = seeded_operands 400 in
   List.iter
-    (fun entry -> List.iter (fun (x, y) -> check entry x y) pairs)
-    W64.entries
+    (fun run -> List.iter (fun p -> check run (lane run p)) pairs)
+    W64.runs
 
-(* Batch engine: every entry over the seeded pairs, trap lanes mixed in,
+(* Batch engine: every row over the seeded pairs, trap lanes mixed in,
    each lane pinned against the reference. *)
 let test_batch_differential () =
   let pairs =
@@ -81,20 +107,19 @@ let test_batch_differential () =
   let lanes = List.length pairs in
   let b = Batch.create ~lanes (Millicode.resolved ()) in
   List.iter
-    (fun entry ->
-      let args =
-        Array.of_list (List.map (fun (x, y) -> W64.operands x y) pairs)
-      in
-      Batch.call b entry ~args;
+    (fun ((k, signed) as run) ->
+      let dwords = List.map (lane run) pairs in
+      Batch.call b (name run)
+        ~args:(Array.of_list (List.map k.W64.pack dwords));
       List.iteri
-        (fun lane (x, y) ->
-          let got = W64.batch_outcome b ~lane in
-          let want = W64.reference entry x y in
+        (fun i xs ->
+          let got = W64.batch_outcome b ~lane:i in
+          let want = k.W64.reference ~signed xs in
           if not (W64.outcome_equal got want) then
-            Alcotest.failf "batch %s lane %d 0x%Lx 0x%Lx = %a want %a" entry
-              lane x y W64.pp_outcome got W64.pp_outcome want)
-        pairs)
-    W64.entries
+            Alcotest.failf "batch %s lane %d %a = %a want %a" (name run) i
+              pp_dwords xs W64.pp_outcome got W64.pp_outcome want)
+        dwords)
+    W64.runs
 
 let arb_i64 =
   let open QCheck in
@@ -114,15 +139,16 @@ let arb_i64 =
   in
   make ~print:(Printf.sprintf "0x%Lx") gen
 
-let prop entry =
+let prop run =
   QCheck.Test.make
-    ~name:(Printf.sprintf "%s = two-word reference" entry)
+    ~name:(Printf.sprintf "%s = two-word reference" (name run))
     ~count:1000
     (QCheck.pair arb_i64 arb_i64)
-    (fun (x, y) ->
+    (fun p ->
+      let k, signed = run and xs = lane run p in
       W64.outcome_equal
-        (W64.call (Lazy.force scalar) entry ~x ~y)
-        (W64.reference entry x y))
+        (W64.call (Lazy.force scalar) k ~signed xs)
+        (k.W64.reference ~signed xs))
 
 let suite =
   [
@@ -135,5 +161,5 @@ let suite =
         Alcotest.test_case "batch engine differential" `Quick
           test_batch_differential;
       ] );
-    Util.qsuite "w64.qcheck" (List.map prop W64.entries);
+    Util.qsuite "w64.qcheck" (List.map prop W64.runs);
   ]
