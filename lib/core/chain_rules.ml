@@ -14,14 +14,13 @@ type rule =
   | Rmul2k_minus of int * int (* n = (2^k - 1) m            [Shl; Sub]      *)
   | Rmul2k_plus of int * int (* n = (2^k + 1) m, k >= 4    [Shl; Add]      *)
   | Rfactor of int * int (* n = p * q                  [compose]       *)
-  | Rseed of int (* minimal chain of this length from the exhaustive
-                    depth-3 closure — the paper's "remembering the
-                    exceptions" *)
+  | Rseed of Chain.t (* minimal chain from the exhaustive depth-3
+                        search — the paper's "remembering the
+                        exceptions" *)
 
 type table = {
   mode : mode;
   limit : int;
-  seed_cap : int;
   costs : int array; (* index 0 unused; max_int = unreachable *)
   rules : rule array;
 }
@@ -103,36 +102,34 @@ let relax_factors t =
 
 (* The value-level relaxation cannot express chains that reuse an
    intermediate element twice (the paper's 59 is the canonical case), so
-   Fast tables are seeded with the exact exhaustive closure to depth 3 —
+   Fast tables are seeded with the exact exhaustive search to depth 3 —
    cheap, and the same move as the paper's "by remembering these
-   exceptions, minimal length chains may be generated". *)
+   exceptions, minimal length chains may be generated". The table
+   remembers the chains themselves: the ones [Chain_search.find] would
+   return, all found by one walk per depth. *)
 let seed_depth = 3
 
 let table mode ~limit =
   if limit < 1 then invalid_arg "Chain_rules.table: limit must be >= 1";
-  let seed_cap = (4 * limit) + 16 in
   let t =
     {
       mode;
       limit;
-      seed_cap;
       costs = Array.make (limit + 1) unreachable;
       rules = Array.make (limit + 1) Base;
     }
   in
   t.costs.(1) <- 0;
-  if mode = Fast then begin
-    let ex =
-      Chain_search.lengths_table ~cap:seed_cap ~max_len:seed_depth ~limit ()
-    in
-    for n = 2 to limit do
-      match Chain_search.length_of ex n with
-      | Some l when l < t.costs.(n) ->
-          t.costs.(n) <- l;
-          t.rules.(n) <- Rseed l
-      | Some _ | None -> ()
-    done
-  end;
+  if mode = Fast then
+    Array.iteri
+      (fun n seed ->
+        match seed with
+        | Some c when n >= 2 ->
+            t.costs.(n) <- Chain.length c;
+            t.rules.(n) <- Rseed c
+        | Some _ | None -> ())
+      (Chain_search.first_chains ~cap:((4 * limit) + 16) ~max_len:seed_depth
+         ~limit);
   let continue = ref true in
   while !continue do
     let changed = ref false in
@@ -195,20 +192,6 @@ end
 
 let cache_cap = 4096
 
-(* [Rseed] chains, keyed by the DFS's arguments: each exception's
-   exhaustive search runs at most once per domain while it stays cached. *)
-let seed_cache : (int * int * int, Chain.t option) Bounded.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Bounded.create cache_cap)
-
-let seed_chain ~cap ~max_len n =
-  let cache = Domain.DLS.get seed_cache in
-  match Bounded.find cache (cap, max_len, n) with
-  | Some c -> c
-  | None ->
-      let c = Chain_search.find ~cap ~max_len n in
-      Bounded.add cache (cap, max_len, n) c;
-      c
-
 let chain t n =
   let rec build n : Chain.t option =
     if n < 1 || n > t.limit || t.costs.(n) = unreachable then None
@@ -245,7 +228,7 @@ let chain t n =
           match (build p, build q) with
           | Some cp, Some cq -> Some (compose cp cq)
           | _, _ -> None)
-      | Rseed l -> seed_chain ~cap:t.seed_cap ~max_len:l n
+      | Rseed c -> Some c
   in
   build n
 
@@ -284,6 +267,35 @@ type node = { cost : int; pred : int; steps : int -> Chain.step list }
 
 let no_node = { cost = unreachable; pred = 0; steps = (fun _ -> []) }
 
+(* Exact division by an odd [f] with no divide instruction, as section 7
+   divides by a constant: [inv] is [f]'s inverse modulo 2^63 (OCaml's
+   wrap-around), so for [0 <= n <= max_int] the product [n * inv] is
+   [n / f] when [f] divides [n], and otherwise lands outside
+   [0 .. max_int / f]. Newton's step [x (2 - f x)] doubles the number of
+   correct low bits, and [f * f = 1 (mod 8)] gives the first three. *)
+type divisor = { inv : int; qmax : int }
+
+let divisor f =
+  let rec refine x i = if i = 0 then x else refine (x * (2 - (f * x))) (i - 1) in
+  { inv = refine f 5; qmax = max_int / f }
+
+(* [n / f] when [f] divides [n], else [-1]. *)
+let quotient d n =
+  let q = n * d.inv in
+  if q >= 0 && q <= d.qmax then q else -1
+
+let exact_quotient f n =
+  if f < 1 || f land 1 = 0 || n < 0 then
+    invalid_arg "Chain_rules.exact_quotient";
+  let q = quotient (divisor f) n in
+  if q < 0 then None else Some q
+
+(* The descent's factors: 3, 5, 9 (one SHkADD), then 2^k - 1 and
+   2^k + 1 for k = 4 .. 31 (a shift and a subtract or add). *)
+let shadd_divisors = [| (divisor 3, 1); (divisor 5, 2); (divisor 9, 3) |]
+let minus_divisors = Array.init 28 (fun i -> divisor ((1 lsl (i + 4)) - 1))
+let plus_divisors = Array.init 28 (fun i -> divisor ((1 lsl (i + 4)) + 1))
+
 let descend mode n : Chain.t option =
   let t = shared_table mode in
   let memo : (int, node) Hashtbl.t = Hashtbl.create 64 in
@@ -296,11 +308,12 @@ let descend mode n : Chain.t option =
           let node = best n in
           Hashtbl.add memo n node;
           node.cost
-  (* The first strictly cheaper candidate wins, in the rules' order. *)
+  (* The first strictly cheaper candidate wins, in the rules' order;
+     [k] is the number of steps [steps] appends. *)
   and best n =
     let best = ref no_node in
-    let try_rule m steps =
-      let c = cost m and k = List.length (steps 0) in
+    let try_rule m k steps =
+      let c = cost m in
       if c <> unreachable && c + k < !best.cost then
         best := { cost = c + k; pred = m; steps }
     in
@@ -311,7 +324,7 @@ let descend mode n : Chain.t option =
     in
     if tz > 0 then begin
       let m = n asr tz in
-      if fast then try_rule m (fun l -> [ Chain.Shl (l, tz) ])
+      if fast then try_rule m 1 (fun l -> [ Chain.Shl (l, tz) ])
       else begin
         (* Monotonic shifting in chunks of <= 3 via SHkADD with r0. *)
         let rec shifts l k acc =
@@ -320,31 +333,29 @@ let descend mode n : Chain.t option =
             let s = min k 3 in
             shifts (l + 1) (k - s) (Chain.Shadd (s, l, 0) :: acc)
         in
-        try_rule m (fun l -> shifts l tz [])
+        try_rule m ((tz + 2) / 3) (fun l -> shifts l tz [])
       end
     end
     else begin
-      List.iter
-        (fun (f, k) ->
-          if n mod f = 0 then
-            try_rule (n / f) (fun l -> [ Chain.Shadd (k, l, l) ]))
-        [ (3, 1); (5, 2); (9, 3) ];
+      Array.iter
+        (fun (d, k) ->
+          let q = quotient d n in
+          if q >= 0 then try_rule q 1 (fun l -> [ Chain.Shadd (k, l, l) ]))
+        shadd_divisors;
       for k = 1 to 3 do
         if (n - 1) land ((1 lsl k) - 1) = 0 && (n - 1) asr k > 0 then
-          try_rule ((n - 1) asr k) (fun l -> [ Chain.Shadd (k, l, 1) ])
+          try_rule ((n - 1) asr k) 1 (fun l -> [ Chain.Shadd (k, l, 1) ])
       done;
-      try_rule (n - 1) (fun l -> [ Chain.Add (l, 1) ]);
+      try_rule (n - 1) 1 (fun l -> [ Chain.Add (l, 1) ]);
       if fast then begin
-        try_rule (n + 1) (fun l -> [ Chain.Sub (l, 1) ]);
+        try_rule (n + 1) 1 (fun l -> [ Chain.Sub (l, 1) ]);
         for k = 4 to 31 do
-          let f = (1 lsl k) - 1 in
-          if f <= n && n mod f = 0 then
-            try_rule (n / f) (fun l ->
-                [ Chain.Shl (l, k); Chain.Sub (l + 1, l) ]);
-          let f = (1 lsl k) + 1 in
-          if f <= n && n mod f = 0 then
-            try_rule (n / f) (fun l ->
-                [ Chain.Shl (l, k); Chain.Add (l + 1, l) ])
+          let q = quotient minus_divisors.(k - 4) n in
+          if q >= 0 then
+            try_rule q 2 (fun l -> [ Chain.Shl (l, k); Chain.Sub (l + 1, l) ]);
+          let q = quotient plus_divisors.(k - 4) n in
+          if q >= 0 then
+            try_rule q 2 (fun l -> [ Chain.Shl (l, k); Chain.Add (l + 1, l) ])
         done
       end
     end;
@@ -364,10 +375,7 @@ let result_cache : (mode * int, Chain.t option) Bounded.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Bounded.create cache_cap)
 
 let domain_cache_sizes () =
-  [
-    ("results", Bounded.length (Domain.DLS.get result_cache), cache_cap);
-    ("seeds", Bounded.length (Domain.DLS.get seed_cache), cache_cap);
-  ]
+  [ ("results", Bounded.length (Domain.DLS.get result_cache), cache_cap) ]
 
 let find ?(mode = Fast) n =
   if n < 1 then invalid_arg "Chain_rules.find: target must be >= 1";

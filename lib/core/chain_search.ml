@@ -236,3 +236,42 @@ let find ?cap ~max_len target =
     in
     deepen 1
   end
+
+(* ------------------------------------------------------------------ *)
+(* First chains of every target, in [find]'s order                     *)
+
+(* [find]'s depth-[d] search, run once for all targets: the same
+   candidate order, [useful] filter and per-node dedup, recording at the
+   last step the first chain that reaches each value not reached at a
+   smaller depth. That chain is the one [find ~cap ~max_len n] returns:
+   [find] tries depths in increasing order and stops at the first hit of
+   its own depth-[d] walk, which is this walk up to that hit. *)
+let first_chains ~cap ~max_len ~limit =
+  if max_len < 0 || limit < 1 then invalid_arg "Chain_search.first_chains";
+  let first = Array.make (limit + 1) None in
+  let values = Array.make (max_len + 2) 0 in
+  values.(1) <- 1;
+  let steps = Array.make (max_len + 2) (Chain.Add (0, 0)) in
+  let rec dfs nvals remaining =
+    if remaining = 1 then
+      candidates ~cap values nvals (fun v step ->
+          if v >= 2 && v <= limit && Option.is_none first.(v) then begin
+            steps.(nvals) <- step;
+            first.(v) <- Some (Array.to_list (Array.sub steps 2 (nvals - 1)))
+          end)
+    else begin
+      let seen = Hashtbl.create 64 in
+      candidates ~cap values nvals (fun v step ->
+          if useful v values nvals && not (Hashtbl.mem seen v) then begin
+            Hashtbl.add seen v ();
+            values.(nvals) <- v;
+            steps.(nvals) <- step;
+            dfs (nvals + 1) (remaining - 1);
+            values.(nvals) <- 0
+          end)
+    end
+  in
+  for depth = 1 to max_len do
+    dfs 2 depth
+  done;
+  first

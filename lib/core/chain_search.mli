@@ -16,6 +16,9 @@
       not (the 1987 authors hit the same wall two levels higher).
     - {!find}: iterative-deepening search for one target, used to certify
       individual table entries and to return an actual minimal chain.
+    - {!first_chains}: {!find}'s answer for every target up to a limit at
+      once, from one walk per depth; the rule program's table keeps
+      these as its seeds.
 
     Intermediate values may be negative and are bounded by [cap] (default
     [4 * limit + 16], which always covers the [(2^k - 1) * n] detour);
@@ -57,3 +60,11 @@ val limit : lengths_table -> int
 val find : ?cap:int -> max_len:int -> int -> Chain.t option
 (** Minimal chain for one target within the depth bound; [None] certifies
     [l(n) > max_len] (modulo the cap heuristic). *)
+
+val first_chains :
+  cap:int -> max_len:int -> limit:int -> Chain.t option array
+(** Indexed by target: for every [n] in [2 .. limit] with a chain of at
+    most [max_len] steps, the chain [find ~cap ~max_len n] returns;
+    [None] for every other index, [0] and [1] included. One depth-first
+    walk per depth, in {!find}'s order, serves every target at once
+    instead of one search each. *)

@@ -327,16 +327,18 @@ let decode ~addr (w : int32) =
   | 22 -> Ok Insn.Nop
   | op -> Error (Printf.sprintf "bad opcode %d" op)
 
-let encode_program (p : Program.resolved) =
-  let out = Array.make (Array.length p.code) 0l in
+let encode_code code =
+  let out = Array.make (Array.length code) 0l in
   let rec go i =
-    if i = Array.length p.code then Ok out
+    if i = Array.length code then Ok out
     else
-      let* w = encode ~addr:i p.code.(i) in
+      let* w = encode ~addr:i code.(i) in
       out.(i) <- w;
       go (i + 1)
   in
   go 0
+
+let encode_program (p : Program.resolved) = encode_code p.code
 
 let decode_program words =
   let out = Array.make (Array.length words) (Insn.Nop : int Insn.t) in

@@ -16,5 +16,8 @@ val encode : addr:int -> int Insn.t -> (int32, string) result
     range); such programs would not assemble on the real machine either. *)
 
 val decode : addr:int -> int32 -> (int Insn.t, string) result
+val encode_code : int Insn.t array -> (int32 array, string) result
+(** Encode instructions placed from address 0. *)
+
 val encode_program : Program.resolved -> (int32 array, string) result
 val decode_program : int32 array -> (int Insn.t array, string) result

@@ -265,3 +265,32 @@ let pp pp_lbl ppf i =
   | Bv { x; base; _ } -> Format.fprintf ppf "%s %a(%a)" m reg x reg base
   | Break { code } -> Format.fprintf ppf "%s %d" m code
   | Nop -> Format.pp_print_string ppf m
+
+(* [pp]'s bytes, concatenated without a formatter: the plan service
+   renders every emitted instruction of every reply with this. *)
+let to_string lbl i =
+  let m = mnemonic i and reg = Reg.name and imm = Int32.to_string in
+  let ops l = m ^ " " ^ String.concat ", " l in
+  match i with
+  | Alu { a; b; t; _ } | Ds { a; b; t } | Comclr { a; b; t; _ } ->
+      ops [ reg a; reg b; reg t ]
+  | Addi { imm = v; a; t; _ } | Subi { imm = v; a; t; _ }
+  | Comiclr { imm = v; a; t; _ } ->
+      ops [ imm v; reg a; reg t ]
+  | Extr { r; pos; len; t; _ } | Zdep { r; pos; len; t } ->
+      ops [ reg r; string_of_int pos; string_of_int len; reg t ]
+  | Shd { a; b; sa; t } -> ops [ reg a; reg b; string_of_int sa; reg t ]
+  | Ldil { imm = v; t } -> ops [ Printf.sprintf "0x%lx" v; reg t ]
+  | Ldo { imm = v; base; t } | Ldw { disp = v; base; t } ->
+      ops [ imm v ^ "(" ^ reg base ^ ")"; reg t ]
+  | Stw { r; disp; base } -> ops [ reg r; imm disp ^ "(" ^ reg base ^ ")" ]
+  | Ldaddr { target; t } -> ops [ lbl target; reg t ]
+  | Comb { a; b; target; _ } -> ops [ reg a; reg b; lbl target ]
+  | Comib { imm = v; a; target; _ } | Addib { imm = v; a; target; _ } ->
+      ops [ imm v; reg a; lbl target ]
+  | B { target; _ } -> ops [ lbl target ]
+  | Bl { target; t; _ } -> ops [ lbl target; reg t ]
+  | Blr { x; t; _ } -> ops [ reg x; reg t ]
+  | Bv { x; base; _ } -> ops [ reg x ^ "(" ^ reg base ^ ")" ]
+  | Break { code } -> ops [ string_of_int code ]
+  | Nop -> m

@@ -132,3 +132,6 @@ val validate : 'lbl t -> (unit, string) result
 val mnemonic : 'lbl t -> string
 val pp : (Format.formatter -> 'lbl -> unit) -> Format.formatter -> 'lbl t -> unit
 (** Assembler syntax, e.g. [sh2add,o r5, r3, r4] or [comb,<< r1, r2, loop]. *)
+
+val to_string : ('lbl -> string) -> 'lbl t -> string
+(** The text {!pp} prints, built without [Format]. *)

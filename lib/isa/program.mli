@@ -20,6 +20,24 @@ val resolve : source -> (resolved, string) result
     {!Insn.validate}. *)
 
 val resolve_exn : source -> resolved
+
+type library
+(** A compilation unit resolved on its own, kept to be linked after
+    other code without resolving it again. *)
+
+val library : source -> (library, string) result
+(** {!resolve} the unit alone. *)
+
+val library_image : library -> resolved
+
+val resolve_before : source -> library list -> (int Insn.t array, string) result
+(** [resolve_before src libs] is the code that
+    [resolve (concat (src :: sources of libs))] gives at addresses
+    [0 .. n-1], for [n] the instructions of [src], or the error it
+    gives: [src]'s own instructions, with references into [libs]
+    resolved to the libraries' addresses in that image. The work is
+    [src]'s, not the libraries': their code is not visited. *)
+
 val symbol : resolved -> string -> int option
 val symbol_exn : resolved -> string -> int
 val length : resolved -> int

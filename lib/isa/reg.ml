@@ -22,7 +22,8 @@ let t2 = 19
 let t3 = 20
 let t4 = 21
 let t5 = 22
-let name n = "r" ^ string_of_int n
+let names = Array.init 32 (fun n -> "r" ^ string_of_int n)
+let name n = names.(n)
 
 let aliases =
   [

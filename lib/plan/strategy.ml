@@ -261,26 +261,70 @@ let verify em =
           Error
             (Format.asprintf "@[<v>%a@]" Hppa_verify.Findings.pp_list findings))
 
+(* Words of [code] placed from address 0, checked to decode back to
+   [code]. *)
+let round_trip code =
+  match Encode.encode_code code with
+  | Error e -> Error e
+  | Ok words -> (
+      match Encode.decode_program words with
+      | Error e -> Error ("decode: " ^ e)
+      | Ok insns ->
+          if insns = code then Ok words
+          else Error "encode/decode round-trip mismatch")
+
 let encoded em =
   match link em with
   | Error e -> Error e
-  | Ok prog -> (
-      match Encode.encode_program prog with
-      | Error e -> Error e
-      | Ok words -> (
-          match Encode.decode_program words with
-          | Error e -> Error ("decode: " ^ e)
-          | Ok insns ->
-              if insns = prog.Program.code then Ok words
-              else Error "encode/decode round-trip mismatch"))
+  | Ok prog -> round_trip prog.Program.code
+
+let le_bytes words =
+  let b = Bytes.create (4 * Array.length words) in
+  Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
+  Bytes.unsafe_to_string b
+
+(* Dependency units (the libraries an emission links after its own
+   code), each resolved, encoded and round-trip-checked once per process.
+   Every branch and address encoding is PC-relative, so a unit's words
+   are the same wherever it sits in a linked image. The key is the
+   unit's source itself, by identity: strategies build a fresh [deps]
+   list per emission around the same few library sources, and at most
+   [dep_unit_cap] are kept. Under a lock, as [canonical] below: shard
+   domains digest concurrently. *)
+let dep_unit_cap = 8
+
+let dep_unit =
+  let lock = Mutex.create () and units = ref [] in
+  fun src ->
+    Mutex.protect lock (fun () ->
+        match List.assq_opt src !units with
+        | Some u -> u
+        | None ->
+            let u =
+              Result.bind (Program.library src) (fun lib ->
+                  Result.map
+                    (fun words -> (lib, le_bytes words))
+                    (round_trip (Program.library_image lib).Program.code))
+            in
+            units :=
+              (src, u) :: List.filteri (fun i _ -> i < dep_unit_cap - 1) !units;
+            u)
 
 let digest em =
-  match encoded em with
-  | Error e -> Error e
-  | Ok words ->
-      let b = Bytes.create (4 * Array.length words) in
-      Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
-      Ok (Digest.to_hex (Digest.bytes b))
+  let ( let* ) = Result.bind in
+  let* units =
+    List.fold_right
+      (fun src rest ->
+        let* u = dep_unit src in
+        let* rest = rest in
+        Ok (u :: rest))
+      em.deps (Ok [])
+  in
+  let* code = Program.resolve_before em.source (List.map fst units) in
+  let* words = round_trip code in
+  Ok
+    (Digest.to_hex
+       (Digest.string (String.concat "" (le_bytes words :: List.map snd units))))
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                          *)

@@ -166,7 +166,10 @@ val encoded : emission -> (int32 array, string) result
     {!Hppa_isa.Encode.decode_program}. *)
 
 val digest : emission -> (string, string) result
-(** Content address: MD5 hex of the encoded binary. *)
+(** Content address: MD5 hex of the encoded binary — the bytes of
+    {!encoded}, with the same errors when each of [deps] resolves on its
+    own. Each dependency source is encoded and checked once per process,
+    so a call encodes only the emission's own instructions. *)
 
 val certify : request -> emission -> (Hppa_verify.Certificate.t, string) result
 (** Discharge the proof obligation matching the emission's shape:

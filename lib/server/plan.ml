@@ -62,8 +62,7 @@ let render_source (src : Program.source) =
        (function
          | Program.Label l -> l ^ ":"
          | Program.Insn i ->
-             squash
-               (Format.asprintf "%a" (Insn.pp Format.pp_print_string) i))
+             squash (Insn.to_string Fun.id i))
        src)
 
 let render_chain (c : Chain.t) =

@@ -3,9 +3,11 @@
    captured from the chain-rebuilding descent before it was rewritten to
    compare costs, plus the properties the rewrite relies on — results
    are history-independent, identical from concurrent domains, and the
-   per-domain caches stay bounded. Do not regenerate the pinned values
-   from current output to make a failure go away: a mismatch means the
-   chosen chains, and with them reply bytes and cycle counts, changed. *)
+   per-domain cache stays bounded — and those of the shared table's
+   seed chains and of the descent's division-free factor tests. Do not
+   regenerate the pinned values from current output to make a failure go
+   away: a mismatch means the chosen chains, and with them reply bytes
+   and cycle counts, changed. *)
 
 open Hppa
 module Plan = Hppa_server.Plan
@@ -109,6 +111,49 @@ let golden_chains =
     (1048576, "l1:20", "s3:1,0 s3:2,0 s3:3,0 s3:4,0 s3:5,0 s3:6,0 s2:7,0");
   ]
 
+(* The same pins for 32- and 33-bit targets (powers of two and their
+   neighbours, reciprocal multipliers from Div_magic and
+   Div_magic_modern, and seeded random values), captured like the list
+   above from a build that still divided in the descent's factor tests.
+   Shifts above 31 in the widest chains are what the descent returns
+   there; 32-bit callers filter them out. *)
+let golden_chains_wide =
+  [
+    (2147483648, "l1:31", "s3:1,0 s3:2,0 s3:3,0 s3:4,0 s3:5,0 s3:6,0 s3:7,0 s3:8,0 s3:9,0 s3:10,0 s1:11,0");
+    (2147483649, "l1:30 s1:2,1", "s3:1,0 s3:2,0 s3:3,0 s3:4,0 s3:5,0 s3:6,0 s3:7,0 s3:8,0 s3:9,0 s3:10,0 s1:11,1");
+    (2487862334, "s3:1,1 s2:2,1 l3:9 a4,3 l5:3 u6,1 l7:3 s1:8,1 l9:3 s1:10,1 l11:5 u12,1 l13:1", "s3:1,1 s2:2,1 s3:3,3 s2:4,1 s1:5,5 s2:6,1 s3:7,7 s1:8,1 s3:9,9 s2:10,1 s2:11,11 s2:12,1 s1:13,13 s1:14,1 s1:15,0");
+    (2526130317, "s1:1,1 u0,2 s3:2,3 l4:9 u5,2 s3:6,1 s3:7,7 l8:6 u9,1 l10:4 a11,10 s1:12,12", "s1:1,1 s3:1,2 s3:3,3 s3:4,3 s2:5,0 s3:6,1 s3:7,1 s1:8,8 s3:9,0 s2:10,1 s3:11,0 s1:12,1 s1:13,1 s2:14,1");
+    (2528518399, "l1:5 s3:2,1 s1:3,3 s1:4,1 s2:5,1 s3:6,1 s3:7,1 s2:8,8 s2:9,9 l10:8 u11,1", "s2:1,1 s3:2,0 s3:3,1 s1:4,1 s2:5,0 s3:6,1 s3:7,1 s2:8,8 s2:9,1 s1:10,1 s2:11,1 s2:12,1 s2:13,1 s1:14,14 s1:15,1");
+    (2643056797, "l1:9 s3:2,1 l3:6 u4,3 l5:5 s1:6,1 s2:7,7 l8:3 u9,1 s2:10,1", "s1:1,1 s1:2,1 s3:3,0 s3:4,0 s3:5,0 s3:6,3 s2:7,7 s3:8,0 s3:9,0 s1:10,1 s1:11,11 s2:12,1 s1:13,13 s2:14,1");
+    (2688548863, "l1:4 s2:2,2 s3:3,1 l4:22 u5,1", "s2:1,1 s3:2,2 s3:3,3 s3:4,1 s2:5,5 s1:1,6 s3:7,7 s1:8,8 s2:9,1 s2:10,1 s2:11,1 s2:12,1 s2:13,1 s1:14,14 s1:15,1");
+    (2748779069, "s2:1,1 s3:2,1 l3:10 u4,3 l5:4 s1:6,1 s2:7,1 s3:8,1 l9:4 u10,1 s2:11,1", "s2:1,1 s3:2,2 s2:3,1 s1:4,4 s3:5,5 s3:6,4 s2:7,1 s3:8,8 s3:9,9 s3:10,10 s1:11,11 s1:12,1 s2:13,1");
+    (2863311531, "l1:15 s1:2,1 l3:8 a4,3 l5:4 a6,5 s2:7,7 s1:8,1", "s3:1,1 s3:2,1 s2:3,0 s3:4,3 s2:5,3 s3:6,6 s2:7,1 s2:8,1 s2:9,1 s2:10,1 s2:11,1 s2:12,1 s2:13,1 s1:14,1");
+    (3123612579, "l1:7 s3:2,1 l3:9 s1:4,1 l5:5 u6,5 l7:4 s1:8,1 s1:9,9", "s1:1,1 s3:1,2 s2:3,0 s3:4,1 s3:5,5 s1:6,1 s3:7,0 s3:8,0 s2:9,1 s1:10,1 s2:11,11 s1:12,1 s3:13,0 s2:14,1 s1:15,15");
+    (3430613503, "l1:6 s2:1,2 s3:3,1 s2:4,1 s3:5,1 s1:6,6 l7:6 s1:8,1 l9:9 u10,1", "a1,1 s3:2,1 s2:3,0 s3:4,1 s2:5,1 s3:6,1 s3:7,0 s3:8,0 s3:9,1 s2:10,1 s2:11,1 s2:12,1 s1:13,13 s1:14,1");
+    (3435973837, "l1:15 s1:2,1 l3:8 a4,3 l5:4 a6,5 s1:7,7 s2:8,1", "s2:1,1 s3:2,1 a3,3 s3:4,3 s2:5,5 s2:6,3 s2:7,7 s3:8,0 s1:9,1 s3:10,0 s1:11,1 s3:12,0 s1:13,1 s1:14,14 s2:15,1");
+    (3762434181, "s3:1,1 s3:2,2 l3:6 u4,3 s3:5,1 l6:5 s1:7,1 s1:8,1 s3:9,9 s2:10,1 s2:11,11 s2:12,1", "s1:1,1 s1:2,1 s3:3,3 s3:4,4 s3:5,5 s3:6,1 s3:7,0 s3:8,1 s1:9,1 s3:10,10 s2:11,1 s2:12,12 s2:13,1");
+    (3773495693, "l1:11 u2,1 s2:3,1 s2:4,4 s2:5,5 s2:6,1 l7:5 u8,1 s1:9,9 s1:10,1 s1:11,11 s1:12,1 s2:13,1", "s1:1,1 s3:2,1 s2:3,1 s3:4,4 s3:5,5 s3:1,6 s2:7,7 s1:8,8 s3:9,1 s1:10,10 s1:11,1 s2:12,12 s3:13,0 s1:14,1 s1:15,1 s2:16,1");
+    (3958305274, "s3:1,1 s2:2,1 l3:12 a4,3 s1:5,1 l6:4 a7,6 s2:8,1 s2:9,1 s1:10,10 s1:11,1 s2:12,1 l13:1", "s2:1,0 s3:2,1 s3:3,1 s3:4,1 s1:5,5 s3:6,6 s3:7,1 s1:8,8 s1:9,1 s2:10,10 s1:11,1 s3:12,12 s1:13,1 s2:14,1 s1:15,0");
+    (4184241547, "l1:12 s1:1,1 s3:3,2 u4,1 s3:5,1 l6:5 u7,6 s2:8,1 s2:9,1 s1:10,1 l11:3 s1:12,1 s2:13,1 s1:14,1", "s2:1,1 s2:2,1 s3:3,1 s1:4,4 s3:4,5 s3:6,6 s1:7,4 s3:8,8 s1:9,1 s3:10,10 s3:11,1 s2:12,1 s1:13,1 s1:14,1 s1:15,15 s1:16,1");
+    (4277882667, "l1:1 s3:2,1 l3:9 u4,1 s2:5,1 s1:6,1 l7:8 u8,1 s2:9,9 s1:10,1 s3:11,1 s1:12,12", "s1:1,1 s3:1,2 s2:3,3 s3:4,4 s3:5,1 s3:6,6 s2:7,7 s2:8,8 s1:9,1 s2:10,10 s1:11,1 s2:12,12 s1:13,1 s3:14,1 s1:15,15");
+    (4294967295, "l1:32 u2,1", "s3:1,1 s3:2,1 s2:3,0 s3:4,3 s2:5,3 s3:6,6 s2:7,1 s2:8,1 s2:9,1 s2:10,1 s2:11,1 s2:12,1 s2:13,1 s1:14,14");
+    (4294967296, "l1:32", "s3:1,0 s3:2,0 s3:3,0 s3:4,0 s3:5,0 s3:6,0 s3:7,0 s3:8,0 s3:9,0 s3:10,0 s2:11,0");
+    (4294967297, "l1:31 s1:2,1", "s3:1,0 s3:2,0 s3:3,0 s3:4,0 s3:5,0 s3:6,0 s3:7,0 s3:8,0 s3:9,0 s3:10,0 s2:11,1");
+    (4398046511, "l1:6 s3:2,1 s3:3,1 s2:4,4 s1:5,1 s3:6,6 s1:7,1 s1:8,8 s2:9,1 s2:10,1 l11:5 u12,11 s1:13,1 s1:14,1", "s1:1,1 s3:2,1 s3:3,1 s3:4,4 s3:5,5 s3:1,6 s3:7,7 s1:8,1 s2:9,9 s1:10,1 s2:11,11 s2:12,12 s1:13,13 s1:14,1 s2:15,15 s1:16,1");
+    (4441546600, "l1:9 s3:1,1 u2,3 s2:4,4 s3:5,5 s1:6,6 s2:7,1 l8:9 u9,8 s2:10,1 l11:3", "s3:1,1 s2:2,1 s3:3,0 s3:4,3 s3:5,3 s1:6,1 s1:7,7 s2:8,1 s1:9,9 s2:10,1 s2:11,1 s2:12,12 s2:13,13 s3:14,0");
+    (4503595123, "l1:7 u2,1 s3:3,1 l4:5 u5,4 s3:6,1 s1:7,1 l8:4 u9,1 l10:5 u11,10 s3:12,12 s1:13,1", "s1:1,1 s3:2,1 s3:3,1 s3:4,4 s3:5,5 s3:1,6 s1:7,7 s3:8,1 s2:9,9 s2:10,1 s1:11,1 s3:12,0 s1:13,1 s3:14,14 s1:15,1");
+    (4826387121, "l1:12 s2:1,1 u2,3 s2:4,1 s1:5,1 l6:4 s1:7,1 s3:8,8 s2:9,1 s2:10,1 s1:11,1 l12:3 s1:13,1", "s1:1,1 s3:2,1 s2:3,1 s3:4,4 s3:5,1 s1:6,1 s3:7,1 s3:8,8 s3:9,9 s2:10,1 s2:11,1 s1:12,1 s3:13,0 s1:14,1");
+    (4908534053, "l1:3 s3:2,1 s3:3,3 s3:4,1 l5:15 a6,5 s3:7,1 s2:8,1", "s3:1,0 s3:2,1 s3:3,0 s3:4,1 s3:5,0 s3:6,1 s3:7,0 s3:8,1 s3:9,9 s3:10,1 s2:11,1");
+    (5979775537, "l1:5 s1:2,2 s3:3,1 s2:4,4 s2:5,5 s2:6,6 s1:7,1 s3:8,8 s3:9,1 s3:10,10 s1:11,11 l12:3 s1:13,1", "s1:1,1 s3:1,2 s3:3,1 s1:4,4 s3:5,5 s3:6,1 s2:7,7 s1:8,1 s3:9,9 s3:10,1 s3:11,11 s1:12,12 s3:13,0 s1:14,1");
+    (6035388331, "l1:10 u2,1 s2:3,1 l4:6 s1:5,1 s2:6,1 l7:4 u8,1 s1:9,9 s1:10,1 s2:11,11 s1:12,12 s1:13,1", "s1:1,1 s2:2,0 s3:3,1 s3:4,4 s3:5,1 s2:6,6 s1:1,7 s3:8,0 s3:9,1 s3:10,10 s2:11,11 s1:12,1 s2:13,13 s1:14,14 s1:15,1");
+    (6247225157, "l1:7 s3:2,1 l3:9 s1:4,1 l5:5 u6,5 s1:7,7 l8:3 s1:9,1 s2:10,1", "s1:1,1 s3:1,2 s2:3,0 s3:4,1 s3:5,5 s1:6,1 s3:7,0 s3:8,0 s2:9,1 s1:10,1 s2:11,11 s1:12,1 s1:13,13 s3:14,0 s1:15,1 s2:16,1");
+    (6621447680, "l1:7 s1:2,2 s2:3,2 u4,1 s3:5,1 s3:6,6 s1:7,1 s3:8,8 s1:9,9 s1:10,1 l11:9", "s1:1,1 s3:2,1 s2:3,1 s2:4,0 s3:5,1 s3:6,1 s2:7,7 s2:8,8 s1:9,1 s1:10,1 s2:11,11 s3:12,0 s3:13,0 s3:14,0");
+    (6866678519, "l1:9 u2,1 s3:3,3 s2:4,1 s1:5,5 s2:6,1 s3:7,1 s3:8,8 s1:9,9 s1:10,1 s3:11,11 l12:3 u13,1", "s1:1,1 s2:2,0 s3:3,1 s3:4,0 s3:5,1 s3:6,6 s3:7,1 s2:8,1 s1:9,1 s2:10,10 s2:11,1 s1:12,12 s1:13,1 s2:14,1 s1:15,1 s1:16,1");
+    (7748389759, "l1:6 s2:1,2 s3:3,1 s3:4,4 s1:1,5 s3:6,1 l7:8 a8,7 s1:9,9 s1:10,1 l11:7 u12,1", "s2:1,1 s3:2,1 s2:3,3 s2:4,1 s2:5,0 s3:6,1 s1:7,1 s3:8,1 s1:9,9 s3:10,1 s3:11,1 s2:12,1 s2:13,1 s1:14,14 s1:15,1");
+    (8094720996, "l1:5 u2,1 s2:3,1 l4:8 u5,4 l6:7 s1:7,1 l8:5 u9,8 s3:10,1 l11:2", "s3:1,1 s1:2,1 s3:3,0 s3:4,3 s3:5,1 s2:6,1 s2:7,7 s3:8,0 s3:9,1 s1:10,1 s2:11,11 s1:12,1 s3:13,1 s2:14,0");
+    (8589934591, "l1:33 u2,1", "s3:1,1 s3:2,1 s2:3,0 s3:4,3 s2:5,3 s3:6,6 s2:7,1 s2:8,1 s2:9,1 s2:10,1 s2:11,1 s2:12,1 s2:13,1 s1:14,14 s1:15,1");
+  ]
+
 let test_golden_chains () =
   List.iter
     (fun (n, fast, mono) ->
@@ -120,7 +165,7 @@ let test_golden_chains () =
         (Printf.sprintf "monotonic %d" n)
         mono
         (render (Chain_rules.find ~mode:Monotonic n)))
-    golden_chains
+    (golden_chains @ golden_chains_wide)
 
 (* ------------------------------------------------------------------ *)
 (* Golden reply digest: four keys per bit length 2..31, both signs     *)
@@ -276,6 +321,93 @@ let test_golden_replies () =
     (md5 (List.map fst replies));
   Alcotest.(check string) "artifact digest" "de28e826f60c4d8868259ab594e758a3"
     (md5 (List.map snd replies))
+
+(* ------------------------------------------------------------------ *)
+(* Seeds: the shared table remembers exhaustive search's own chains    *)
+
+(* Every target of the 2^16 table with a chain of at most three steps is
+   seeded with the chain the per-target search returns at the target's
+   exhaustive length; no other target gets a chain that short. *)
+let test_seed_chains () =
+  let limit = 1 lsl 16 in
+  let cap = (4 * limit) + 16 in
+  let table = Chain_rules.table Chain_rules.Fast ~limit in
+  let lengths = Chain_search.lengths_table ~cap ~max_len:3 ~limit () in
+  let seeded = ref 0 in
+  for n = 2 to limit do
+    match Chain_search.length_of lengths n with
+    | Some l ->
+        incr seeded;
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d" n)
+          (render (Chain_search.find ~cap ~max_len:l n))
+          (render (Chain_rules.chain table n))
+    | None -> (
+        match Chain_rules.cost table n with
+        | Some c when c <= 3 ->
+            Alcotest.failf "%d: %d steps, but no chain of <= 3 exists" n c
+        | Some _ | None -> ())
+  done;
+  Alcotest.(check int) "seeded targets" 943 !seeded
+
+(* ------------------------------------------------------------------ *)
+(* Division-free factor tests                                          *)
+
+(* The factors the descent tests: 3, 5, 9 and 2^k -/+ 1, k = 4..31. *)
+let descent_factors =
+  [ 3; 5; 9 ]
+  @ List.concat_map
+      (fun k -> [ (1 lsl k) - 1; (1 lsl k) + 1 ])
+      (List.init 28 (fun i -> i + 4))
+
+let check_quotient f n =
+  let expect = if n mod f = 0 then Some (n / f) else None in
+  if Chain_rules.exact_quotient f n <> expect then
+    Alcotest.failf "exact_quotient %d %d <> %s" f n
+      (match expect with Some q -> string_of_int q | None -> "None")
+
+(* Around 0, 1, each factor's multiples, the top multiple below 2^62 and
+   the widths the descent meets. *)
+let test_quotient_boundaries () =
+  List.iter
+    (fun f ->
+      let top = max_int / f * f in
+      List.iter
+        (fun n -> if n >= 0 then check_quotient f n)
+        [
+          0; 1; 2; f - 1; f; f + 1; 2 * f; (2 * f) + 1; (f * f) - 1; f * f;
+          top - f; top - 1; top; top + 1; max_int - 1; max_int;
+          (1 lsl 31) - 1; 1 lsl 31; (1 lsl 31) + 1; (1 lsl 32) - 1;
+          1 lsl 32; (1 lsl 32) + 1; (1 lsl 33) + 1; (1 lsl 61) - 1; 1 lsl 61;
+          (1 lsl 61) + 1;
+        ])
+    descent_factors
+
+let gen_dividend =
+  let open QCheck.Gen in
+  let word21 = int_bound ((1 lsl 21) - 1) in
+  let wide =
+    map3 (fun a b c -> (a lsl 42) lor (b lsl 21) lor c)
+      (int_bound ((1 lsl 20) - 1)) word21 word21
+  in
+  frequency
+    [
+      (3, wide);
+      (* multiples of a factor, and their neighbours *)
+      ( 3,
+        map3
+          (fun f q d -> max 0 ((f * (q mod (max_int / f))) + d))
+          (oneofl descent_factors) wide (int_range (-1) 1) );
+      (1, map (fun b -> 1 lsl b) (int_range 0 61));
+    ]
+
+let prop_exact_quotient =
+  QCheck.Test.make ~name:"inverse test = mod test, every factor, n < 2^62"
+    ~count:2000
+    (QCheck.make ~print:string_of_int gen_dividend)
+    (fun n ->
+      List.iter (fun f -> check_quotient f n) descent_factors;
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* History independence                                                *)
@@ -442,8 +574,12 @@ let suite =
       [
         Alcotest.test_case "pinned chains" `Quick test_golden_chains;
         Alcotest.test_case "pinned reply digest" `Quick test_golden_replies;
+        Alcotest.test_case "seeds are exhaustive search's chains" `Quick
+          test_seed_chains;
+        Alcotest.test_case "factor tests at the boundaries" `Quick
+          test_quotient_boundaries;
       ] );
-    Util.qsuite "descent:props" [ prop_history_independent ];
+    Util.qsuite "descent:props" [ prop_history_independent; prop_exact_quotient ];
     ( "descent:cache",
       [ Alcotest.test_case "bounded under 20k constants" `Quick test_cache_bound ] );
   ]

@@ -163,6 +163,31 @@ let wrap insns =
   Program.Label "alpha" :: Program.Label "beta" :: Program.Label "gamma"
   :: List.map (fun i -> Program.Insn i) insns
 
+(* ------------------------------------------------------------------ *)
+(* Reply text: the Format-free printer prints what [Insn.pp] prints     *)
+
+(* The plan service's one-line form of [pp]'s text. *)
+let squash s =
+  String.trim (String.map (function '\n' | '\r' | '\t' -> ' ' | c -> c) s)
+
+let pp_text i = squash (Format.asprintf "%a" (Insn.pp Format.pp_print_string) i)
+
+let test_to_string_millicode () =
+  let n = ref 0 in
+  List.iter
+    (function
+      | Program.Label _ -> ()
+      | Program.Insn i ->
+          incr n;
+          Alcotest.(check string)
+            (pp_text i) (pp_text i) (Insn.to_string Fun.id i))
+    Hppa.Millicode.source;
+  Alcotest.(check bool) "library instructions" true (!n > 1000)
+
+let prop_to_string =
+  QCheck.Test.make ~name:"to_string = squashed pp, every constructor"
+    ~count:3000 arb_insn (fun i -> Insn.to_string Fun.id i = pp_text i)
+
 let prop_asm_roundtrip =
   QCheck.Test.make ~name:"print/parse roundtrip" ~count:500
     (QCheck.list_of_size (QCheck.Gen.int_range 1 20) arb_insn)
@@ -274,6 +299,58 @@ let test_resolve_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range immediate accepted"
 
+(* [resolve_before] gives the head of the whole image's code, or the
+   whole image's error, without resolving the libraries again. *)
+let test_resolve_before () =
+  let open Program in
+  let lib1 =
+    [
+      Label "l1"; Insn (Emit.b "l1b"); Label "l1b"; Insn Insn.Nop;
+      Label "shared";
+    ]
+  and lib2 = [ Label "l2"; Insn (Emit.b "l2"); Insn (Emit.b "l2") ] in
+  let libs =
+    List.map
+      (fun src ->
+        match library src with
+        | Ok lib -> lib
+        | Error e -> Alcotest.failf "library: %s" e)
+      [ lib1; lib2 ]
+  in
+  let check name src libs lib_srcs =
+    let own =
+      List.length (List.filter (function Insn _ -> true | Label _ -> false) src)
+    in
+    let whole =
+      Result.map
+        (fun p -> Array.to_list (Array.sub p.code 0 own))
+        (resolve (concat (src :: lib_srcs)))
+    and head = Result.map Array.to_list (resolve_before src libs) in
+    let code =
+      Alcotest.testable
+        Fmt.(result ~ok:(Dump.list (Insn.pp Format.pp_print_int)) ~error:string)
+        ( = )
+    in
+    Alcotest.check code name whole head
+  in
+  let both name src = check name src libs [ lib1; lib2 ] in
+  both "calls into both libraries"
+    [
+      Label "main"; Insn (Emit.b "l2"); Insn (Emit.bl "l1b" Reg.mrp);
+      Insn (Emit.b "main");
+    ];
+  both "own duplicate" [ Label "x"; Insn Insn.Nop; Label "x" ];
+  both "clash with a library, named in the library's order"
+    [ Label "shared"; Insn Insn.Nop; Label "l1" ];
+  both "clash with the second library" [ Label "l2"; Insn (Emit.b "l2") ];
+  both "undefined label" [ Insn (Emit.b "l1"); Insn (Emit.b "nowhere") ];
+  both "invalid before undefined"
+    [ Insn (Emit.b "nowhere"); Insn (Emit.addi 100000l Reg.r0 Reg.r0) ];
+  check "library clash between libraries" [ Insn (Emit.b "l1") ]
+    (libs @ [ List.hd libs ])
+    [ lib1; lib2; lib1 ];
+  check "no libraries" [ Label "a"; Insn (Emit.b "a") ] [] []
+
 let test_validate_ranges () =
   let bad i =
     match Insn.validate i with Ok () -> false | Error _ -> true
@@ -382,15 +459,18 @@ let suite =
         Alcotest.test_case "parse error lines" `Quick
           test_parse_error_messages_ok_cases;
         Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
+        Alcotest.test_case "resolve before libraries" `Quick test_resolve_before;
         Alcotest.test_case "validate ranges" `Quick test_validate_ranges;
         Alcotest.test_case "branch displacement" `Quick test_branch_displacement_limit;
         Alcotest.test_case "millicode encodes" `Quick test_millicode_encodes;
         Alcotest.test_case "asm syntax extras" `Quick test_asm_syntax_extras;
         Alcotest.test_case "image rejects garbage" `Quick test_image_rejects_garbage;
+        Alcotest.test_case "to_string = pp over the millicode" `Quick
+          test_to_string_millicode;
       ] );
     qsuite "isa:props"
       [
         prop_cond_negate; prop_asm_roundtrip; prop_encode_roundtrip;
-        prop_decode_total; prop_image_roundtrip;
+        prop_decode_total; prop_image_roundtrip; prop_to_string;
       ];
   ]

@@ -472,6 +472,90 @@ let test_measure_batch_parity () =
      go 0)
 
 (* ------------------------------------------------------------------ *)
+(* Digest = MD5 of the whole linked image                              *)
+
+(* The content address as the whole image gives it: link the emission
+   with its dependencies, encode every word, check the round trip, hash. *)
+let whole_image_digest em =
+  Result.map
+    (fun words ->
+      let b = Bytes.create (4 * Array.length words) in
+      Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
+      Digest.to_hex (Digest.bytes b))
+    (Plan.encoded em)
+
+let test_digest_whole_image () =
+  let g = Prng.create 16L in
+  let consts =
+    [ 1; 2; 3; 5; 7; 10; 11; 25; 60; 625; 641; 1000; 6700417; 0x7fffffff ]
+    @ List.init 30 (fun i ->
+          let bits = i + 2 in
+          Prng.int_range g (1 lsl (bits - 1)) ((1 lsl bits) - 1))
+  in
+  let consts =
+    List.concat_map (fun c -> [ Int32.of_int c; Int32.of_int (-c) ]) consts
+    @ [ Int32.min_int ]
+  in
+  let both f = [ f Plan.Unsigned; f Plan.Signed ] in
+  let requests =
+    List.concat_map
+      (fun c ->
+        [ Plan.mul_const c; Plan.mul_const ~trap_overflow:true c ]
+        @ both (fun s -> Plan.div_const s c)
+        @ both (fun s -> Plan.rem_const s c))
+      consts
+    @ [ Plan.mul_var (); Plan.mul_var ~trap_overflow:true () ]
+    @ both Plan.div_var @ both Plan.rem_var
+    @ List.concat_map (fun k -> both (Plan.w64_run k)) Hppa_w64.kernels
+    @ List.concat_map
+        (fun c ->
+          [ Plan.w64_mul_const c ]
+          @ both (fun s -> Plan.w64_div_const s c)
+          @ both (fun s -> Plan.w64_rem_const s c))
+        [ 3L; -7L; 625L; 0x1_0000_0001L; -0x7fff_ffffL ]
+  in
+  let millicode = ref 0 and fallback = ref 0 and emissions = ref 0 in
+  List.iter
+    (fun req ->
+      List.iter
+        (fun (s : Plan.t) ->
+          if s.Plan.kind = Plan.Emits && s.Plan.applies req then
+            match s.Plan.emit req with
+            | Error _ -> ()
+            | Ok em ->
+                incr emissions;
+                (match em.Plan.detail with
+                | Plan.Millicode _ -> incr millicode
+                | Plan.Div_plan
+                    { Div_const.strategy = Div_const.General_fallback; _ } ->
+                    incr fallback
+                | Plan.Div_plan _ | Plan.Mul_plan _ | Plan.Pair_chain _ -> ());
+                let label =
+                  Printf.sprintf "%s %s" (Plan.request_id req) s.Plan.name
+                in
+                Alcotest.(check (result string string))
+                  label (whole_image_digest em) (Plan.digest em))
+        Plan.all)
+    requests;
+  (* Twice more, in one domain and then another: each library is encoded
+     once per process, and later digests must not depend on that. *)
+  let again () =
+    List.map
+      (fun req ->
+        Result.bind (Selector.choose req) (fun c ->
+            Plan.digest c.Selector.emission))
+      requests
+  in
+  let here = again () in
+  Alcotest.(check (list (result string string)))
+    "another domain" here
+    (Domain.join (Domain.spawn again));
+  if !millicode = 0 || !fallback = 0 then
+    Alcotest.failf "sweep lacks millicode (%d) or divU fallback (%d) emissions"
+      !millicode !fallback;
+  Alcotest.(check bool) "emissions" true (!emissions > 500)
+
+(* ------------------------------------------------------------------ *)
 (* The W64 (double-word) family through the same layers                *)
 
 let w64_requests =
@@ -645,6 +729,8 @@ let suite =
           test_certified_selection;
         Alcotest.test_case "certified rejects variable multiply" `Quick
           test_certified_rejects_variable_multiply;
+        Alcotest.test_case "digest = MD5 of the whole linked image" `Quick
+          test_digest_whole_image;
       ] );
     ( "plan:differential",
       [
