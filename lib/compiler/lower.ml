@@ -623,7 +623,7 @@ let compile_and_link ?entry ?trap_overflow ?small_divisor_dispatch
     compile ?entry ?trap_overflow ?small_divisor_dispatch ?require_certified
       ?width ~params expr
   in
-  Program.resolve_exn (Program.concat [ unit_.source; Millicode.source ])
+  Millicode.link unit_.source
 
 module Internal = struct
   type nonrec state = state

@@ -179,7 +179,7 @@ let compile_and_link ?entry ?small_divisor_dispatch ?width ~inputs ~result
   let unit_ =
     compile ?entry ?small_divisor_dispatch ?width ~inputs ~result ?preheader l
   in
-  Program.resolve_exn (Program.concat [ unit_.source; Millicode.source ])
+  Millicode.link unit_.source
 
 let compile_reduced ?entry ?small_divisor_dispatch ?width ~inputs ~result
     (r : Strength.reduced) =

@@ -17,7 +17,16 @@ let source =
       Div_small.source; Mul_w64.source; Div_w64.source; Div_u128.source;
     ]
 
-let resolved () = Program.resolve_exn source
+let library () =
+  match Program.library source with
+  | Ok lib -> lib
+  | Error msg -> invalid_arg ("Millicode.library: " ^ msg)
+
+let link src =
+  ignore (library ());
+  Program.resolve_exn (Program.concat [ src; source ])
+
+let resolved () = link []
 let machine ?config () = Hppa_machine.Machine.create ?config (resolved ())
 let scheduled_source () = Delay.schedule source
 

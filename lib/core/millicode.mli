@@ -22,7 +22,23 @@
     examples that want a ready-to-run image. *)
 
 val source : Program.source
+
+val library : unit -> Program.library
+(** The library resolved on its own: once per process, and recorded by
+    {!Program.library}, so that every {!Program.resolve} of a source
+    ending in {!source} itself (such as [Program.concat [src; source]])
+    resolves only what comes before it. The image is shared: never
+    write into it. *)
+
+val link : Program.source -> Program.resolved
+(** [link src] is [Program.resolve_exn (Program.concat [src; source])],
+    [src] followed by the library, spliced after [src] rather than
+    resolved again. A fresh image, as every resolve gives. *)
+
 val resolved : unit -> Program.resolved
+(** [link []]: a fresh image of the library alone, free to be written
+    into (a copy of {!library}'s, not resolved again). *)
+
 val machine :
   ?config:Hppa_machine.Machine.Config.t -> unit -> Hppa_machine.Machine.t
 (** A fresh machine loaded with the library, executing under [config]

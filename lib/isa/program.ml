@@ -11,6 +11,7 @@ type library = {
   image : resolved;
   labels : string list; (* in source order *)
   rank : (string, int) Hashtbl.t; (* position in [labels] *)
+  targeted : int array; (* addresses of the instructions with a target *)
 }
 
 (* Resolve [src] as the first unit of an image whose later units are
@@ -89,9 +90,66 @@ let assemble (src : source) libs =
     Ok { code; symbols; names }
   with Bad msg -> Error msg
 
-let resolve src = assemble src []
+(* The libraries resolved so far, most recent first, keyed by their
+   source by identity; at most [library_cap] are kept. Readers take the
+   list as it stands; [library] adds to it under [library_lock], so each
+   library is resolved once however many domains ask for it. *)
+let library_cap = 8
+let libraries : (source * library) list Atomic.t = Atomic.make []
+let library_lock = Mutex.create ()
 
-let library src =
+(* The longest suffix of [src] that is a recorded library, with the
+   number of items before it. *)
+let recorded_tail src =
+  let libs = Atomic.get libraries in
+  let rec walk before = function
+    | [] -> None
+    | _ :: rest as tail -> (
+        match List.assq_opt tail libs with
+        | Some lib -> Some (before, lib)
+        | None -> walk (before + 1) rest)
+  in
+  match libs with [] -> None | _ :: _ -> walk 0 src
+
+(* [head] resolved as the first unit of an image whose second and last
+   unit is [lib]: [assemble] gives [head]'s part and its errors, and
+   [lib]'s image follows it, its targets and symbols moved up by
+   [head]'s length. Only the instructions with a target are rebuilt,
+   and the symbol table is copied, not rehashed. [head]'s names go in
+   last: a label it puts at [lib]'s first address stays the name there,
+   as in a pass over the whole image. *)
+let splice head lib =
+  Result.map
+    (fun h ->
+      let n = Array.length h.code and img = lib.image in
+      let code = Array.append h.code img.code in
+      let symbols = Hashtbl.copy img.symbols in
+      let names = Hashtbl.create (Hashtbl.length img.names + 16) in
+      if n > 0 then begin
+        Array.iter
+          (fun a -> code.(n + a) <- Insn.map_target (fun t -> t + n) img.code.(a))
+          lib.targeted;
+        Hashtbl.filter_map_inplace (fun _ a -> Some (a + n)) symbols
+      end;
+      Hashtbl.iter (Hashtbl.add symbols) h.symbols;
+      Hashtbl.iter (fun a l -> Hashtbl.add names (a + n) l) img.names;
+      Hashtbl.iter (Hashtbl.replace names) h.names;
+      { code; symbols; names })
+    (assemble head [ lib ])
+
+let resolve src =
+  match recorded_tail src with
+  | None -> assemble src []
+  | Some (before, lib) ->
+      let rec head k = function
+        | item :: rest when k > 0 -> item :: head (k - 1) rest
+        | _ -> []
+      in
+      splice (head before src) lib
+
+let library_suffix src = Option.map fst (recorded_tail src)
+
+let build src =
   Result.map
     (fun image ->
       let labels =
@@ -99,8 +157,32 @@ let library src =
       in
       let rank = Hashtbl.create 64 in
       List.iteri (fun i l -> Hashtbl.replace rank l i) labels;
-      { image; labels; rank })
+      let targeted = ref [] in
+      Array.iteri
+        (fun a i -> if Insn.target i <> None then targeted := a :: !targeted)
+        image.code;
+      { image; labels; rank; targeted = Array.of_list (List.rev !targeted) })
     (resolve src)
+
+let library src =
+  let find () = List.assq_opt src (Atomic.get libraries) in
+  match find () with
+  | Some lib -> Ok lib
+  | None ->
+      Mutex.protect library_lock (fun () ->
+          match find () with
+          | Some lib -> Ok lib
+          | None ->
+              let lib = build src in
+              (match (lib, src) with
+              | Ok lib, _ :: _ ->
+                  Atomic.set libraries
+                    ((src, lib)
+                    :: List.filteri
+                         (fun i _ -> i < library_cap - 1)
+                         (Atomic.get libraries))
+              | Ok _, [] | Error _, _ -> ());
+              lib)
 
 let library_image lib = lib.image
 let resolve_before src libs = Result.map (fun p -> p.code) (assemble src libs)
@@ -118,7 +200,12 @@ let symbol_exn p l =
   | None -> invalid_arg (Printf.sprintf "Program.symbol_exn: no label %S" l)
 
 let length p = Array.length p.code
-let concat = List.concat
+(* The last unit's cells are kept, so a program concatenated with a
+   library ends in the library's own source. *)
+let rec concat = function
+  | [] -> []
+  | [ last ] -> last
+  | unit_ :: rest -> unit_ @ concat rest
 
 let pp_item ppf = function
   | Label l -> Format.fprintf ppf "%s:" l

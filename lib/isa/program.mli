@@ -17,7 +17,17 @@ type resolved = private {
 
 val resolve : source -> (resolved, string) result
 (** Fails on duplicate labels, undefined targets, or instructions rejected by
-    {!Insn.validate}. *)
+    {!Insn.validate}.
+
+    Cost: one pass over [src], unless [src] ends in the source of a
+    recorded {!library} — physically, the very list given to {!library},
+    as {!concat} keeps it. Then only the items before it are resolved
+    (against the library, with the same errors as a whole pass) and the
+    library's image is copied after them: its code array, with only the
+    instructions that have a target rebuilt, and its symbols and names,
+    moved up by the head's length. The longest recorded suffix is the
+    one spliced. Either way the image is fresh: the caller may write
+    into it, and no later image sees that. *)
 
 val resolve_exn : source -> resolved
 
@@ -26,9 +36,22 @@ type library
     other code without resolving it again. *)
 
 val library : source -> (library, string) result
-(** {!resolve} the unit alone. *)
+(** {!resolve} the unit alone, and record it, keyed by [src] by identity,
+    in a table of at most 8 libraries (the oldest goes first) shared by
+    every domain. A recorded [src] is not resolved again: the call
+    returns the recorded library. Each [src] is resolved once even when
+    domains ask for it at the same time. An empty [src] and a unit that
+    fails to resolve are not recorded. *)
 
 val library_image : library -> resolved
+(** The library's own image, shared by every caller and every later
+    {!resolve} that splices it: never write into it. *)
+
+val library_suffix : source -> int option
+(** [Some k] when [src], from its item [k] on, is the source of a
+    recorded {!library} (the longest such suffix): {!resolve} then
+    resolves only the first [k] items. [None] when {!resolve} makes one
+    pass over the whole of [src]. *)
 
 val resolve_before : source -> library list -> (int Insn.t array, string) result
 (** [resolve_before src libs] is the code that
@@ -44,7 +67,10 @@ val length : resolved -> int
 
 val concat : source list -> source
 (** Concatenate compilation units (e.g. a program and the millicode library);
-    label clashes surface at {!resolve} time. *)
+    label clashes surface at {!resolve} time. Equal to [List.concat]; the
+    cells of every unit but the last are copied, and the result's tail is
+    the last unit itself, so a program concatenated with a recorded
+    {!library}'s source links without resolving the library again. *)
 
 val pp_source : Format.formatter -> source -> unit
 val pp_resolved : Format.formatter -> resolved -> unit

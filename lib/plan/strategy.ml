@@ -243,7 +243,12 @@ type emission = {
   detail : detail;
 }
 
-let link em = Program.resolve (Program.concat (em.source :: em.deps))
+(* Each dependency is recorded as a library (resolved once per process),
+   so a link resolves the emission's own code and splices the last
+   dependency's image after it. *)
+let link em =
+  List.iter (fun src -> ignore (Program.library src)) em.deps;
+  Program.resolve (Program.concat (em.source :: em.deps))
 
 let verify em =
   match link em with
@@ -283,32 +288,32 @@ let le_bytes words =
   Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
   Bytes.unsafe_to_string b
 
-(* Dependency units (the libraries an emission links after its own
-   code), each resolved, encoded and round-trip-checked once per process.
-   Every branch and address encoding is PC-relative, so a unit's words
-   are the same wherever it sits in a linked image. The key is the
-   unit's source itself, by identity: strategies build a fresh [deps]
-   list per emission around the same few library sources, and at most
-   [dep_unit_cap] are kept. Under a lock, as [canonical] below: shard
-   domains digest concurrently. *)
+(* The encoded words of each dependency unit (a library an emission
+   links after its own code), encoded and round-trip-checked once per
+   process. Every branch and address encoding is PC-relative, so a
+   unit's words are the same wherever it sits in a linked image. The
+   unit itself comes from [Program.library]'s table; this keeps only its
+   words, keyed like that table by the unit's source by identity, at
+   most [dep_unit_cap] of them, under a lock: shard domains digest
+   concurrently. *)
 let dep_unit_cap = 8
 
 let dep_unit =
-  let lock = Mutex.create () and units = ref [] in
+  let lock = Mutex.create () and words = ref [] in
   fun src ->
-    Mutex.protect lock (fun () ->
-        match List.assq_opt src !units with
-        | Some u -> u
-        | None ->
-            let u =
-              Result.bind (Program.library src) (fun lib ->
-                  Result.map
-                    (fun words -> (lib, le_bytes words))
-                    (round_trip (Program.library_image lib).Program.code))
-            in
-            units :=
-              (src, u) :: List.filteri (fun i _ -> i < dep_unit_cap - 1) !units;
-            u)
+    Result.bind (Program.library src) (fun lib ->
+        Mutex.protect lock (fun () ->
+            match List.assq_opt src !words with
+            | Some w -> Ok (lib, w)
+            | None ->
+                Result.map
+                  (fun w ->
+                    let w = le_bytes w in
+                    words :=
+                      (src, w)
+                      :: List.filteri (fun i _ -> i < dep_unit_cap - 1) !words;
+                    (lib, w))
+                  (round_trip (Program.library_image lib).Program.code)))
 
 let digest em =
   let ( let* ) = Result.bind in
@@ -562,13 +567,26 @@ let div_gen_specs =
       List.mem s.Cfg.name [ "divU"; "divI"; "remU"; "remI" ])
     Millicode.conventions
 
+(* The last constant divide each domain planned: a request's [cost],
+   its [emit] and a reply rendered from a millicode winner all ask for
+   the same plan, which is made once. *)
+let last_div_plan = Domain.DLS.new_key (fun () -> None)
+
 let div_const_plan r c =
-  match (r.op, r.signedness) with
-  | Div, Unsigned -> Div_const.plan_unsigned c
-  | Div, Signed -> Div_const.plan_signed c
-  | Rem, Unsigned -> Div_const.plan_rem_unsigned c
-  | Rem, Signed -> Div_const.plan_rem_signed c
-  | (Mul | Divl), _ -> invalid_arg "div_const_plan: not a divide"
+  let key = (r.op, r.signedness, c) in
+  match Domain.DLS.get last_div_plan with
+  | Some (k, plan) when k = key -> plan
+  | Some _ | None ->
+      let plan =
+        match (r.op, r.signedness) with
+        | Div, Unsigned -> Div_const.plan_unsigned c
+        | Div, Signed -> Div_const.plan_signed c
+        | Rem, Unsigned -> Div_const.plan_rem_unsigned c
+        | Rem, Signed -> Div_const.plan_rem_signed c
+        | (Mul | Divl), _ -> invalid_arg "div_const_plan: not a divide"
+      in
+      Domain.DLS.set last_div_plan (Some (key, plan));
+      plan
 
 let div_const_strategy =
   let applies r =
@@ -935,19 +953,8 @@ let certificate_of = function
 
 (* The trusted image the body-equivalence certifier compares against:
    the canonical millicode library, whose W64 routines the differential
-   suite pins on all three engines. Built once, under a lock: shard
-   domains certify concurrently, and forcing one [lazy] from two domains
-   at once raises. *)
-let canonical =
-  let lock = Mutex.create () and image = ref None in
-  fun () ->
-    Mutex.protect lock (fun () ->
-        match !image with
-        | Some p -> p
-        | None ->
-            let p = Millicode.resolved () in
-            image := Some p;
-            p)
+   suite pins on all three engines. *)
+let canonical () = Program.library_image (Millicode.library ())
 
 let certify req em =
   match link em with

@@ -154,7 +154,10 @@ type emission = {
 }
 
 val link : emission -> (Program.resolved, string) result
-(** Resolve the emission concatenated with its [deps]. *)
+(** Resolve the emission concatenated with its [deps]. Each of [deps]
+    is recorded as a {!Program.library}, so the link resolves the
+    emission's own code and splices the last dependency's image after
+    it. *)
 
 val verify : emission -> (unit, string) result
 (** {!Hppa_verify.Driver.check} over the linked program for the declared
@@ -220,3 +223,10 @@ val all : t list
 (** The registry, in tie-break order (earlier wins at equal score). *)
 
 val find : string -> t option
+
+val div_const_plan : request -> int32 -> Hppa.Div_const.plan
+(** The {!Hppa.Div_const} plan for a constant [Div] or [Rem] request by
+    the given divisor, as the [div_const] strategy emits it. Each domain
+    keeps the last one it made, so the strategy's cost, its emission and
+    a reply rendered from the same request plan the divisor once.
+    @raise Invalid_argument for a [Mul] or [Divl] request. *)

@@ -134,17 +134,16 @@ let div ?obs ?require_certified d =
   if d = 0l then Error "range division by zero"
   else
     let signedness = if d > 0l then Strategy.Unsigned else Strategy.Signed in
-    match
-      Selector.choose ?obs ?require_certified (Strategy.div_const signedness d)
-    with
+    let req = Strategy.div_const signedness d in
+    match Selector.choose ?obs ?require_certified req with
     | Ok choice ->
         let plan =
+          (* A call-through winner renders the plan the selector costed. *)
           match choice.Selector.emission.Strategy.detail with
           | Strategy.Div_plan p -> p
           | Strategy.Mul_plan _ | Strategy.Millicode _ | Strategy.Pair_chain _
             ->
-              if d > 0l then Div_const.plan_unsigned d
-              else Div_const.plan_signed d
+              Strategy.div_const_plan req d
         in
         Ok (div_payload plan, artifact_of_choice choice)
     | Error detail -> Error ("plan " ^ detail)

@@ -29,30 +29,26 @@ let expected_loop =
 let check name expected actual () =
   Alcotest.(check string) name expected (render actual)
 
-let case_e1 () =
+(* The pinned programs, compiled afresh. *)
+let e1 () =
   let e = Expr.Add (Mul (Var "x", Const 625l), Div (Var "y", Const 7l)) in
-  let u = Lower.compile ~entry:"f" ~params:[ "x"; "y" ] e in
-  check "mul chain + signed divide" expected_e1 u.Lower.source ()
+  (Lower.compile ~entry:"f" ~params:[ "x"; "y" ] e).Lower.source
 
-let case_e2 () =
+let e2 () =
   let e = Expr.Sub (Rem (Var "x", Const 10l), Mul (Var "x", Var "y")) in
-  let u = Lower.compile ~entry:"g" ~params:[ "x"; "y" ] e in
-  check "rem plan + variable multiply" expected_e2 u.Lower.source ()
+  (Lower.compile ~entry:"g" ~params:[ "x"; "y" ] e).Lower.source
 
-let case_e3 () =
+let e3 () =
   let e = Expr.Div (Var "x", Var "y") in
-  let u =
-    Lower.compile ~entry:"h" ~small_divisor_dispatch:true ~params:[ "x"; "y" ]
-      e
-  in
-  check "small-divisor dispatch divide" expected_e3 u.Lower.source ()
+  (Lower.compile ~entry:"h" ~small_divisor_dispatch:true ~params:[ "x"; "y" ]
+     e)
+    .Lower.source
 
-let case_e4 () =
+let e4 () =
   let e = Expr.Mul (Var "x", Const 15l) in
-  let u = Lower.compile ~entry:"o" ~trap_overflow:true ~params:[ "x" ] e in
-  check "trap-overflow mul chain" expected_e4 u.Lower.source ()
+  (Lower.compile ~entry:"o" ~trap_overflow:true ~params:[ "x" ] e).Lower.source
 
-let case_loop () =
+let loop () =
   let l =
     Loop_ir.
       {
@@ -65,8 +61,17 @@ let case_loop () =
       }
   in
   let r = Strength.reduce l in
-  let u = Lower_loop.compile_reduced ~entry:"k" ~inputs:[] ~result:"j" r in
-  check "strength-reduced loop" expected_loop u.Lower_loop.source ()
+  (Lower_loop.compile_reduced ~entry:"k" ~inputs:[] ~result:"j" r)
+    .Lower_loop.source
+
+let lowerings () =
+  [ ("e1", e1 ()); ("e2", e2 ()); ("e3", e3 ()); ("e4", e4 ()); ("loop", loop ()) ]
+
+let case_e1 () = check "mul chain + signed divide" expected_e1 (e1 ()) ()
+let case_e2 () = check "rem plan + variable multiply" expected_e2 (e2 ()) ()
+let case_e3 () = check "small-divisor dispatch divide" expected_e3 (e3 ()) ()
+let case_e4 () = check "trap-overflow mul chain" expected_e4 (e4 ()) ()
+let case_loop () = check "strength-reduced loop" expected_loop (loop ()) ()
 
 let suite =
   [

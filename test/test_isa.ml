@@ -299,6 +299,28 @@ let test_resolve_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "out-of-range immediate accepted"
 
+(* A recorded library at the end of a program is spliced, not resolved
+   again; the image must be the one a single pass over a structural
+   copy gives (fresh cells, so nothing in it is a recorded library). *)
+let full_pass src = Program.resolve (List.map Fun.id src)
+
+let bindings tbl =
+  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let same_image name (expected : (Program.resolved, string) result) actual =
+  match (expected, actual) with
+  | Error e, Error a -> Alcotest.(check string) (name ^ ": error") e a
+  | Ok e, Ok a ->
+      if e.Program.code <> a.Program.code then
+        Alcotest.failf "%s: code differs" name;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": symbols") (bindings e.Program.symbols)
+        (bindings a.Program.symbols);
+      Alcotest.(check (list (pair int string)))
+        (name ^ ": names") (bindings e.Program.names) (bindings a.Program.names)
+  | Ok _, Error a -> Alcotest.failf "%s: spliced link fails: %s" name a
+  | Error e, Ok _ -> Alcotest.failf "%s: spliced link accepts (%s)" name e
+
 (* [resolve_before] gives the head of the whole image's code, or the
    whole image's error, without resolving the libraries again. *)
 let test_resolve_before () =
@@ -324,7 +346,7 @@ let test_resolve_before () =
     let whole =
       Result.map
         (fun p -> Array.to_list (Array.sub p.code 0 own))
-        (resolve (concat (src :: lib_srcs)))
+        (full_pass (concat (src :: lib_srcs)))
     and head = Result.map Array.to_list (resolve_before src libs) in
     let code =
       Alcotest.testable
@@ -350,6 +372,153 @@ let test_resolve_before () =
     (libs @ [ List.hd libs ])
     [ lib1; lib2; lib1 ];
   check "no libraries" [ Label "a"; Insn (Emit.b "a") ] [] []
+
+let recorded lib_src =
+  match Program.library lib_src with
+  | Ok lib -> lib
+  | Error e -> Alcotest.failf "library: %s" e
+
+(* [head] linked before [lib_src]: spliced, and equal to the full pass. *)
+let check_splice name head lib_src =
+  ignore (recorded lib_src);
+  let src = Program.concat [ head; lib_src ] in
+  Alcotest.(check (option int))
+    (name ^ ": splice point") (Some (List.length head))
+    (Program.library_suffix src);
+  same_image name (full_pass src) (Program.resolve src);
+  Program.resolve src
+
+let test_splice () =
+  let open Program in
+  List.iter
+    (fun (lib_name, lib_src, lib_label) ->
+      let check name head = ignore (check_splice (lib_name ^ ", " ^ name) head lib_src) in
+      check "empty head" [];
+      check "one instruction" [ Insn Insn.Nop ];
+      List.iter
+        (fun (name, head) -> check ("golden " ^ name) head)
+        (Test_golden.lowerings ());
+      check "call into the library" [ Label "main"; Insn (Emit.b lib_label) ];
+      check "head defines a library label" [ Label lib_label; Insn Insn.Nop ];
+      check "head defines two library labels"
+        [ Label "remU"; Insn Insn.Nop; Label "divU" ];
+      check "undefined label" [ Insn (Emit.b lib_label); Insn (Emit.b "nowhere") ];
+      check "invalid instruction"
+        [ Insn Insn.Nop; Insn Insn.Nop; Insn (Emit.addi 100000l Reg.r0 Reg.r0) ];
+      check "own duplicate" [ Label "x"; Insn Insn.Nop; Label "x" ];
+      (* A label at the library's first address names that address. *)
+      let head = [ Label "main"; Insn (Emit.b lib_label); Label "at_lib" ] in
+      (match check_splice (lib_name ^ ", trailing label") head lib_src with
+      | Ok p ->
+          Alcotest.(check (option string)) "trailing label names the address"
+            (Some "at_lib") (Hashtbl.find_opt p.names 1)
+      | Error e -> Alcotest.failf "trailing label: %s" e);
+      (* A structural copy is not the recorded source: one whole pass. *)
+      let copy = List.map Fun.id lib_src in
+      Alcotest.(check (option int))
+        (lib_name ^ ": a copy is not spliced") None (library_suffix copy);
+      same_image (lib_name ^ ", copy") (resolve lib_src) (resolve copy))
+    [
+      ("millicode", Hppa.Millicode.source, "mulI");
+      ("div_gen", Hppa.Div_gen.source, "divU");
+    ]
+
+(* Whatever a caller writes into an image, later images are unchanged. *)
+let test_image_isolation () =
+  let spoil (p : Program.resolved) =
+    Array.fill p.code 0 (Array.length p.code) (Insn.Break { code = 7 });
+    Hashtbl.reset p.symbols;
+    Hashtbl.replace p.names 0 "spoiled"
+  in
+  let expected = full_pass Hppa.Millicode.source in
+  let head = [ Program.Label "main"; Program.Insn (Emit.b "divU") ] in
+  let linked = Program.concat [ head; Hppa.Millicode.source ] in
+  let expected_linked = full_pass linked in
+  for round = 1 to 2 do
+    let name what = Printf.sprintf "%s, round %d" what round in
+    spoil (Hppa.Millicode.resolved ());
+    same_image (name "resolved ()") expected (Ok (Hppa.Millicode.resolved ()));
+    spoil (Program.resolve_exn linked);
+    same_image (name "linked") expected_linked (Program.resolve linked);
+    spoil (Hppa.Millicode.link head);
+    same_image (name "Millicode.link") expected_linked
+      (Ok (Hppa.Millicode.link head));
+    same_image (name "library image") expected
+      (Ok (Program.library_image (Hppa.Millicode.library ())))
+  done
+
+let test_concat () =
+  let open Program in
+  let units =
+    [
+      [ Label "a"; Insn Insn.Nop ]; []; [ Insn (Emit.b "a") ]; [ Label "b" ];
+      [ Insn Insn.Nop; Insn Insn.Nop ];
+    ]
+  in
+  let rec prefixes = function
+    | [] -> [ [] ]
+    | u :: rest -> [] :: List.map (fun p -> u :: p) (prefixes rest)
+  in
+  let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
+  List.iter
+    (fun us ->
+      let c = concat us in
+      if c <> List.concat us then Alcotest.fail "concat <> List.concat";
+      match List.rev us with
+      | [] -> ()
+      | last :: rest ->
+          let before = List.fold_left (fun n u -> n + List.length u) 0 rest in
+          if not (drop before c == last) then
+            Alcotest.failf "tail of a %d-unit concat is not its last unit"
+              (List.length us))
+    (prefixes units
+    @ [ [ Hppa.Div_gen.source ]; [ List.hd units; Hppa.Millicode.source ] ])
+
+(* The split points of the millicode whose suffix resolves on its own:
+   every target it references is a label it defines. *)
+let self_contained =
+  let items = Array.of_list Hppa.Millicode.source in
+  let n = Array.length items in
+  let ok = Array.make n false in
+  let defined = Hashtbl.create 256 and missing = Hashtbl.create 256 in
+  for k = n - 1 downto 0 do
+    (match items.(k) with
+    | Program.Label l ->
+        Hashtbl.replace defined l ();
+        Hashtbl.remove missing l
+    | Program.Insn i -> (
+        match Insn.target i with
+        | Some l when not (Hashtbl.mem defined l) -> Hashtbl.replace missing l ()
+        | Some _ | None -> ()));
+    ok.(k) <- Hashtbl.length missing = 0
+  done;
+  ok
+
+let prop_splice_split =
+  let n = Array.length self_contained in
+  let points =
+    Array.of_list (List.filter (fun k -> self_contained.(k)) (List.init n Fun.id))
+  in
+  QCheck.Test.make ~name:"millicode split into head + recorded tail" ~count:100
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(frequency [ (3, oneofa points); (1, int_bound (n - 1)) ]))
+    (fun k ->
+      let head = List.filteri (fun i _ -> i < k) Hppa.Millicode.source in
+      let rec suffix k l = if k = 0 then l else suffix (k - 1) (List.tl l) in
+      let tail = suffix k Hppa.Millicode.source in
+      let src = Program.concat [ head; tail ] in
+      let name = Printf.sprintf "split at %d" k in
+      (match Program.library tail with
+      | Ok _ ->
+          Alcotest.(check bool) (name ^ ": tail is self-contained") true
+            self_contained.(k);
+          Alcotest.(check (option int)) (name ^ ": splice point") (Some k)
+            (Program.library_suffix src)
+      | Error e ->
+          if self_contained.(k) then
+            Alcotest.failf "%s: self-contained tail fails alone: %s" name e);
+      same_image name (full_pass src) (Program.resolve src);
+      true)
 
 let test_validate_ranges () =
   let bad i =
@@ -460,6 +629,9 @@ let suite =
           test_parse_error_messages_ok_cases;
         Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
         Alcotest.test_case "resolve before libraries" `Quick test_resolve_before;
+        Alcotest.test_case "spliced library = whole pass" `Quick test_splice;
+        Alcotest.test_case "images are never shared" `Quick test_image_isolation;
+        Alcotest.test_case "concat keeps the last unit" `Quick test_concat;
         Alcotest.test_case "validate ranges" `Quick test_validate_ranges;
         Alcotest.test_case "branch displacement" `Quick test_branch_displacement_limit;
         Alcotest.test_case "millicode encodes" `Quick test_millicode_encodes;
@@ -472,5 +644,6 @@ let suite =
       [
         prop_cond_negate; prop_asm_roundtrip; prop_encode_roundtrip;
         prop_decode_total; prop_image_roundtrip; prop_to_string;
+        prop_splice_split;
       ];
   ]
