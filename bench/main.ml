@@ -7,8 +7,10 @@
      dune exec bench/main.exe --deep          -- adds the ~10-minute
                                                  depth-6 exhaustive search
                                                  certifying Figure 1 row 6
-     dune exec bench/main.exe bechamel        -- host-time micro-benchmarks
-     dune exec bench/main.exe json            -- BENCH_SIM.json snapshot
+     dune exec bench/main.exe batch           -- SoA batch engine lane
+                                                 widths vs the scalar
+                                                 engine (exit 1 if none
+                                                 beats it)
      dune exec bench/main.exe plans           -- autotune every kernel
                                                  strategy on the simulator,
                                                  gate the selector, write
@@ -611,8 +613,8 @@ let kernels () =
     (Machine.get m Reg.ret0, c)
   in
   let compile ?preheader l inputs =
-    let u = Lower_loop.compile ~entry:"k" ~inputs ~result:"j" ?preheader l in
-    Program.resolve_exn (Program.concat [ u.source; Millicode.source ])
+    Millicode.link
+      (Lower_loop.compile ~entry:"k" ~inputs ~result:"j" ?preheader l).source
   in
   let body stmts = List.map (fun (v, e) -> Loop_ir.Assign (v, e)) stmts in
   let trips = 500l in
@@ -666,72 +668,6 @@ let kernels () =
   in
   let _ = measure "Horner           j = j*x + i" [ "x" ] [ 3l ] horner in
   ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (host time)                               *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let mul_pair =
-    let g = Prng.create 1L in
-    fun () -> Operand_dist.figure5_pair g
-  in
-  let test_sim name entry =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let x, y = mul_pair () in
-           ignore (cycles entry [ x; y ])))
-  in
-  let tests =
-    [
-      test_sim "sim/mul_final" "mul_final";
-      test_sim "sim/mul_naive" "mul_naive";
-      test_sim "sim/divU" "divU";
-      Test.make ~name:"chains/rule-table-1k"
-        (Staged.stage (fun () -> ignore (Chain_rules.table Fast ~limit:1000)));
-      Test.make ~name:"chains/exhaustive-d3"
-        (Staged.stage (fun () ->
-             ignore (Chain_search.lengths_table ~max_len:3 ~limit:100 ())));
-      Test.make ~name:"divmagic/derive-19"
-        (Staged.stage (fun () -> ignore (Div_magic.derive 19l)));
-      Test.make ~name:"divconst/plan-7"
-        (Staged.stage (fun () -> ignore (Div_const.plan_unsigned 7l)));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze raw =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false
-        ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  List.concat_map
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.fold
-        (fun name result acc ->
-          let est =
-            match Bechamel.Analyze.OLS.estimates result with
-            | Some [ est ] -> Some est
-            | Some _ | None -> None
-          in
-          (name, est) :: acc)
-        results [])
-    tests
-
-let bechamel_print () =
-  header "Bechamel micro-benchmarks (host nanoseconds per run)";
-  List.iter
-    (fun (name, est) ->
-      match est with
-      | Some est -> Printf.printf "  %-26s %12.1f ns/run\n" name est
-      | None -> Printf.printf "  %-26s (no estimate)\n" name)
-    (bechamel_suite ())
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_PLANS.json: the kernel-strategy autotune gate                  *)
@@ -1040,227 +976,77 @@ let bench_w64 ~fast () =
     Hppa_w64.runs
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_SIM.json: machine-readable performance snapshot                *)
+(* batch: the SoA batch engine's lane-width sweep (CI gate)            *)
 
-(* Simulated instructions per host second for one millicode entry,
-   measured on a private machine with the threaded engine forced on or
-   off. The first call is a warm-up so translation cost stays out of the
-   engine numbers. Each machine publishes into [obs] under a
-   kernel/engine label pair so BENCH_SIM.json records exactly what ran. *)
-let sim_throughput ~obs ~engine ~iters entry args_of =
-  let config =
-    {
-      Machine.Config.default with
-      engine;
-      obs = Some obs;
-      obs_labels =
-        [ ("kernel", entry); ("engine", string_of_bool engine) ];
-    }
-  in
-  let m = Millicode.machine ~config () in
-  ignore (cycles_exn ~what:"json warmup" m entry (args_of 0));
+(* Simulated instructions per host second of [run], which returns the
+   cycles it simulated. *)
+let insns_per_sec run =
   let t0 = Unix.gettimeofday () in
-  let cyc = ref 0 in
-  for i = 1 to iters do
-    cyc := !cyc + cycles_exn ~what:"json throughput" m entry (args_of i)
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  (float_of_int !cyc /. dt, !cyc, Machine.used_engine m)
+  let cyc = run () in
+  float_of_int cyc /. (Unix.gettimeofday () -. t0)
 
-(* Simulated instructions per host second for one millicode entry on
-   the batched SoA engine at a given lane width: the same operand
-   stream as [sim_throughput], fed [width] call-sites at a time. The
-   batch machine publishes its aggregate stats and the
-   [hppa_machine_batch_*] counters under a kernel/width label pair. *)
-let batch_throughput ~obs ~iters ~width entry args_of =
-  let b =
-    Machine.Batch.create ~obs
-      ~obs_labels:[ ("kernel", entry); ("width", string_of_int width) ]
-      ~lanes:width (Millicode.resolved ())
-  in
+(* One millicode entry over [iters] operand sets on the batched SoA
+   engine, fed [width] call-sites at a time; a lane that does not halt
+   fails the run. *)
+let batch_throughput ~iters ~width entry args_of =
+  let b = Machine.Batch.create ~lanes:width (Millicode.resolved ()) in
   let die fmt =
     Printf.eprintf "bench batch: %s: " entry;
     Printf.kfprintf (fun oc -> output_char oc '\n'; exit 1) stderr fmt
   in
   (* Warm-up batch: translation cost stays out of the timing. *)
   Machine.Batch.call b entry ~args:(Array.init width (fun _ -> args_of 0));
-  let t0 = Unix.gettimeofday () in
-  let cyc = ref 0 in
-  let i = ref 1 in
-  while !i <= iters do
-    let k = min width (iters - !i + 1) in
-    let base = !i in
-    Machine.Batch.call b entry
-      ~args:(Array.init k (fun j -> args_of (base + j)));
-    for l = 0 to k - 1 do
-      (match Machine.Batch.outcome b ~lane:l with
-      | Machine.Halted -> ()
-      | Machine.Trapped t ->
-          die "lane %d trapped: %s" l (Hppa_machine.Trap.to_string t)
-      | Machine.Fuel_exhausted -> die "lane %d exhausted its fuel" l);
-      cyc := !cyc + Machine.Batch.cycles b ~lane:l
-    done;
-    i := !i + k
-  done;
-  let dt = Unix.gettimeofday () -. t0 in
-  (float_of_int !cyc /. dt, !cyc)
+  insns_per_sec (fun () ->
+      let cyc = ref 0 in
+      let i = ref 1 in
+      while !i <= iters do
+        let k = min width (iters - !i + 1) in
+        let base = !i in
+        Machine.Batch.call b entry
+          ~args:(Array.init k (fun j -> args_of (base + j)));
+        for l = 0 to k - 1 do
+          (match Machine.Batch.outcome b ~lane:l with
+          | Machine.Halted -> ()
+          | Machine.Trapped t ->
+              die "lane %d trapped: %s" l (Hppa_machine.Trap.to_string t)
+          | Machine.Fuel_exhausted -> die "lane %d exhausted its fuel" l);
+          cyc := !cyc + Machine.Batch.cycles b ~lane:l
+        done;
+        i := !i + k
+      done;
+      !cyc)
 
-let batch_widths = [ 1; 4; 16; 64; 256 ]
-
-let closure_wall ?obs ~domains ~max_len ~limit () =
-  let t0 = Unix.gettimeofday () in
-  ignore (Chain_search.lengths_table ?obs ~domains ~max_len ~limit ());
-  Unix.gettimeofday () -. t0
-
-let bench_json ?(batch = false) ~fast ~out () =
-  let obs = Obs.Registry.create () in
+(* Each kernel on the scalar threaded engine, then at every lane width;
+   exits 1 unless the best width beats the scalar engine on the two
+   kernels the paper's throughput story rests on. *)
+let bench_batch ~fast () =
+  header "Batch engine: lane widths vs the scalar threaded engine";
   let iters = if fast then 4000 else 20000 in
-  let sim_kernel_args =
-    [
-      ("mul_final", fun i -> [ Int32.of_int ((i land 0xffff) + 1); 12345l ]);
-      ("mul_naive", fun i -> [ Int32.of_int ((i land 0xffff) + 1); 0x12345l ]);
-      ("divU", fun i -> [ Int32.of_int ((i * 7919) land 0x3fff_ffff); 1097l ]);
-    ]
-  in
-  let sim_kernels =
-    List.map
-      (fun (name, args_of) ->
-        let eng, sim_insns, eng_used =
-          sim_throughput ~obs ~engine:true ~iters name args_of
-        in
-        let itp, _, _ = sim_throughput ~obs ~engine:false ~iters name args_of in
-        (name, eng, itp, sim_insns, eng_used))
-      sim_kernel_args
-  in
-  (* The `batch` mode is `json` plus a width sweep of the SoA engine
-     over the same kernels and operand streams, gated against the
-     scalar engine numbers measured above. *)
-  let batch_rows =
-    if not batch then []
-    else
-      List.map
-        (fun (name, args_of) ->
-          let scalar =
-            let _, eng, _, _, _ =
-              List.find (fun (n, _, _, _, _) -> n = name) sim_kernels
-            in
-            eng
-          in
-          let widths =
-            List.map
-              (fun w ->
-                let ips, _ = batch_throughput ~obs ~iters ~width:w name args_of in
-                (w, ips))
-              batch_widths
-          in
-          (name, scalar, widths))
-        sim_kernel_args
-  in
-  let max_len, limit = if fast then (4, 300) else (5, 700) in
-  let seq = closure_wall ~obs ~domains:1 ~max_len ~limit () in
-  let domains = Hppa_machine.Sweep.default_domains () in
-  let par = closure_wall ~obs ~domains ~max_len ~limit () in
-  (* A small autotune pass so the snapshot carries the per-strategy
-     comparison (full sweep: the [plans] mode). *)
-  let plan_rows =
-    let store = Autotune.Store.create () in
-    let reports, _ =
-      tune_reports ~obs ~store
-        ~workload:(Autotune.Figure5 { samples = 32; seed = 0x5EEDL })
-        [
-          Strategy.mul_const 625l;
-          Strategy.div_const Strategy.Unsigned 10l;
-          Strategy.mul_var ();
-        ]
-    in
-    strategy_table reports
-  in
-  let bech = bechamel_suite () in
-  let path = out in
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"hppa-bench-sim/1\",\n";
-  out "  \"fast\": %b,\n" fast;
-  out "  \"meta\": {\"domains\": %d, \"engine_default\": %b},\n" domains
-    (Machine.Config.default.engine);
-  out "  \"sim_kernels\": [\n";
-  List.iteri
-    (fun i (name, eng, itp, sim_insns, eng_used) ->
-      out
-        "    {\"name\": %S, \"engine_insns_per_sec\": %.0f, \
-         \"interp_insns_per_sec\": %.0f, \"speedup\": %.2f, \
-         \"sim_insns\": %d, \"used_engine\": %b}%s\n"
-        name eng itp (eng /. itp) sim_insns eng_used
-        (if i < List.length sim_kernels - 1 then "," else ""))
-    sim_kernels;
-  out "  ],\n";
-  if batch_rows <> [] then begin
-    out "  \"batch_kernels\": [\n";
-    List.iteri
-      (fun i (name, scalar, widths) ->
-        out
-          "    {\"name\": %S, \"scalar_insns_per_sec\": %.0f, \
-           \"widths\": [%s]}%s\n"
-          name scalar
-          (String.concat ", "
-             (List.map
-                (fun (w, ips) ->
-                  Printf.sprintf
-                    "{\"width\": %d, \"insns_per_sec\": %.0f, \
-                     \"speedup_vs_scalar\": %.2f}"
-                    w ips (ips /. scalar))
-                widths))
-          (if i < List.length batch_rows - 1 then "," else ""))
-      batch_rows;
-    out "  ],\n"
-  end;
-  out "  \"plan_strategies\": [\n";
-  List.iteri
-    (fun i (name, n, mean, wins) ->
-      out
-        "    {\"strategy\": %S, \"measured\": %d, \"mean_cycles\": %.1f, \
-         \"wins\": %d}%s\n"
-        name n mean wins
-        (if i < List.length plan_rows - 1 then "," else ""))
-    plan_rows;
-  out "  ],\n";
-  out "  \"obs\": %s,\n" (Obs.Export.json (Obs.Registry.snapshot obs));
-  out "  \"lengths_table\": {\"max_len\": %d, \"limit\": %d, \
-       \"seq_seconds\": %.3f, \"par_seconds\": %.3f, \"domains\": %d, \
-       \"parallel_speedup\": %.2f},\n"
-    max_len limit seq par domains (seq /. par);
-  out "  \"bechamel_ns_per_run\": {\n";
-  List.iteri
-    (fun i (name, est) ->
-      out "    %S: %s%s\n" name
-        (match est with Some e -> Printf.sprintf "%.1f" e | None -> "null")
-        (if i < List.length bech - 1 then "," else ""))
-    bech;
-  out "  }\n";
-  out "}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
+  let failed = ref false in
   List.iter
-    (fun (name, eng, itp, _, _) ->
-      Printf.printf "  %-10s engine %.1fM insns/s, interpreter %.1fM, %.1fx\n"
-        name (eng /. 1e6) (itp /. 1e6) (eng /. itp))
-    sim_kernels;
-  Printf.printf
-    "  lengths_table depth %d: %.2fs sequential, %.2fs on %d domain(s) (%.2fx)\n"
-    max_len seq par domains (seq /. par);
-  print_strategy_table plan_rows;
-  (* Gate: the batch engine must beat the scalar engine on the two
-     kernels the paper's throughput story rests on. *)
-  let batch_fail = ref false in
-  List.iter
-    (fun (name, scalar, widths) ->
+    (fun (name, args_of) ->
+      let m = Millicode.machine () in
+      (* The first call translates; keep it out of the timing. *)
+      ignore (cycles_exn ~what:"batch warmup" m name (args_of 0));
+      let scalar =
+        insns_per_sec (fun () ->
+            let cyc = ref 0 in
+            for i = 1 to iters do
+              cyc := !cyc + cycles_exn ~what:"batch scalar" m name (args_of i)
+            done;
+            !cyc)
+      in
+      let widths =
+        List.map
+          (fun w -> (w, batch_throughput ~iters ~width:w name args_of))
+          [ 1; 4; 16; 64; 256 ]
+      in
       let best_w, best =
         List.fold_left
           (fun (bw, b) (w, ips) -> if ips > b then (w, ips) else (bw, b))
           (0, 0.0) widths
       in
-      Printf.printf "  %-10s batch:" name;
+      Printf.printf "  %-10s scalar %.1fM insns/s, batch:" name (scalar /. 1e6);
       List.iter (fun (w, ips) -> Printf.printf " w%d %.1fM" w (ips /. 1e6)) widths;
       Printf.printf "  best w%d = %.2fx scalar\n" best_w (best /. scalar);
       if (name = "mul_naive" || name = "divU") && best <= scalar then begin
@@ -1268,10 +1054,14 @@ let bench_json ?(batch = false) ~fast ~out () =
           "bench batch: %s best width w%d (%.1fM insns/s) does not beat the \
            scalar engine (%.1fM)\n"
           name best_w (best /. 1e6) (scalar /. 1e6);
-        batch_fail := true
+        failed := true
       end)
-    batch_rows;
-  if !batch_fail then exit 1
+    [
+      ("mul_final", fun i -> [ Int32.of_int ((i land 0xffff) + 1); 12345l ]);
+      ("mul_naive", fun i -> [ Int32.of_int ((i land 0xffff) + 1); 0x12345l ]);
+      ("divU", fun i -> [ Int32.of_int ((i * 7919) land 0x3fff_ffff); 1097l ]);
+    ];
+  if !failed then exit 1
 
 (* ------------------------------------------------------------------ *)
 
@@ -1298,10 +1088,8 @@ let all_figures =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  (* `json --out PATH` / `plans --out PATH` redirect the artifact (so CI
-     can write outside the checkout); everything else is a figure
-     selection. The default depends on the mode: BENCH_SIM.json for
-     `json`, BENCH_PLANS.json for `plans`. *)
+  (* `plans --out PATH` redirects the artifact (so CI can write outside
+     the checkout); everything else is a figure selection. *)
   let out, args =
     let rec go acc = function
       | "--out" :: path :: rest -> (Some path, List.rev_append acc rest)
@@ -1315,12 +1103,7 @@ let () =
   let selected =
     List.filter (fun a -> a <> "--deep" && a <> "--fast") args
   in
-  if List.mem "bechamel" selected then bechamel_print ()
-  else if List.mem "json" selected then
-    bench_json ~fast ~out:(Option.value out ~default:"BENCH_SIM.json") ()
-  else if List.mem "batch" selected then
-    bench_json ~batch:true ~fast
-      ~out:(Option.value out ~default:"BENCH_SIM.json") ()
+  if List.mem "batch" selected then bench_batch ~fast ()
   else if List.mem "plans" selected then
     bench_plans ~fast ~out:(Option.value out ~default:"BENCH_PLANS.json") ()
   else if List.mem "certify" selected then bench_certify ~fast ()
@@ -1332,9 +1115,7 @@ let () =
         List.filter (fun (name, _) -> List.mem name selected) all_figures
     in
     if to_run = [] then begin
-      Printf.printf
-        "unknown selection; available: %s bechamel json batch plans certify \
-         w64\n"
+      Printf.printf "unknown selection; available: %s batch plans certify w64\n"
         (String.concat " " (List.map fst all_figures));
       exit 2
     end;

@@ -41,9 +41,7 @@ let () =
   Format.printf
     "constant strides: %d inline chain multiplies, %d millicode calls@."
     unit_.inline_multiplies unit_.millicode_calls;
-  let prog =
-    Program.resolve_exn (Program.concat [ unit_.source; Hppa.Millicode.source ])
-  in
+  let prog = Hppa.Millicode.link unit_.source in
   let env v = if v = "x" then 41l else 29l in
   run_expr "addr_const(41, 29)" prog "addr_const" [ 41l; 29l ] env addr_const;
 
@@ -56,9 +54,7 @@ let () =
   Format.printf
     "@.runtime rank:     %d inline chain multiplies, %d millicode calls@."
     unit_.inline_multiplies unit_.millicode_calls;
-  let prog =
-    Program.resolve_exn (Program.concat [ unit_.source; Hppa.Millicode.source ])
-  in
+  let prog = Hppa.Millicode.link unit_.source in
   let env v = match v with "x" -> 41l | "y" -> 29l | _ -> cols in
   run_expr "addr_var(41, 29, 17)" prog "addr_var" [ 41l; 29l; cols ] env addr_var;
 
@@ -69,8 +65,6 @@ let () =
     Expr.Div (Sub (Mul (Var "px", Const size), Mul (Var "py", Const size)), Const size)
   in
   let unit_ = Lower.compile ~entry:"ptr_diff" ~params:[ "px"; "py" ] diff in
-  let prog =
-    Program.resolve_exn (Program.concat [ unit_.source; Hppa.Millicode.source ])
-  in
+  let prog = Hppa.Millicode.link unit_.source in
   let env v = if v = "px" then 1000l else 977l in
   run_expr "ptr_diff(1000, 977)" prog "ptr_diff" [ 1000l; 977l ] env diff

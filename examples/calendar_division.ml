@@ -38,8 +38,8 @@ let () =
      millicode's small-divisor table; only the larger ones need plans. *)
   let plans = List.map (fun y -> Hppa.Div_const.plan_unsigned (Int32.of_int y)) [ 60; 24 ] in
   let prog =
-    Program.resolve_exn
-      (Program.concat (Hppa.Millicode.source :: List.map (fun (p : Hppa.Div_const.plan) -> p.source) plans))
+    Hppa.Millicode.link
+      (Program.concat (List.map (fun (p : Hppa.Div_const.plan) -> p.source) plans))
   in
   let mach = Machine.create prog in
 

@@ -29,9 +29,7 @@ done:   copy   r3, ret0
 |}
 
 let () =
-  let prog =
-    Program.resolve_exn (Program.concat [ gcd_source; Hppa.Millicode.source ])
-  in
+  let prog = Hppa.Millicode.link gcd_source in
   let mach = Machine.create prog in
   let gcd a b =
     match Machine.call_cycles mach "gcd" ~args:[ a; b ] with

@@ -74,10 +74,7 @@ let () =
     let before = Lower_loop.compile_and_link ~entry:"k" ~inputs ~result:"j" l in
     let reduced = Strength.reduce l in
     let after_u = Lower_loop.compile_reduced ~entry:"k" ~inputs ~result:"j" reduced in
-    let after =
-      Program.resolve_exn
-        (Program.concat [ after_u.source; Hppa.Millicode.source ])
-    in
+    let after = Hppa.Millicode.link after_u.source in
     let run prog =
       let mach = Machine.create prog in
       match Machine.call_cycles mach "k" ~args with

@@ -43,9 +43,7 @@ let () =
   Format.printf
     "addr64: %d inline pair-chain multiplies, %d millicode calls@."
     unit_.inline_multiplies unit_.millicode_calls;
-  let prog =
-    Program.resolve_exn (Program.concat [ unit_.source; Hppa.Millicode.source ])
-  in
+  let prog = Hppa.Millicode.link unit_.source in
   let mach = Machine.create prog in
   let i = 123_456_789L in
   (match
@@ -110,7 +108,7 @@ let () =
           Lower_loop.compile_reduced ~width:Expr.W64 ~entry:"k" ~inputs:[]
             ~result:"a" r
         in
-        Program.resolve_exn (Program.concat [ u.source; Hppa.Millicode.source ]))
+        Hppa.Millicode.link u.source)
   in
   assert (Int64.equal v1 v2);
   Format.printf

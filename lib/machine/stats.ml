@@ -1,8 +1,8 @@
 (* Execution statistics, backed by the unified observability layer.
 
    Every quantity is an [Obs.Counter.t] so a machine's dynamic counts can
-   be published into an [Obs.Registry.t] (hppa-run --metrics, bench json,
-   the METRICS server verb) without a second bookkeeping path: the STATS
+   be published into an [Obs.Registry.t] (hppa-run --metrics, the
+   METRICS server verb) without a second bookkeeping path: the STATS
    numbers and the registry snapshot read the same atomics. A Stats value
    owns its counters — two machines never share them — so per-run cycle
    accounting ([diff]) stays exact even when many machines publish into

@@ -239,6 +239,205 @@ module Registry = struct
     List.map sample_of metrics
 end
 
+module Json = struct
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list
+
+  let escape buf s =
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s
+
+  (* JSON has no literal for non-finite values; emit them as quoted
+     Prometheus-style strings so the document stays parseable. *)
+  let float_lexeme f =
+    if f = infinity then "\"+Inf\""
+    else if f = neg_infinity then "\"-Inf\""
+    else if Float.is_nan f then "\"NaN\""
+    else if Float.is_integer f && Float.abs f < 1e15 then
+      Printf.sprintf "%.1f" f
+    else Printf.sprintf "%g" f
+
+  let write_seq buf opening closing item items =
+    Buffer.add_char buf opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        item x)
+      items;
+    Buffer.add_char buf closing
+
+  let rec write buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (string_of_bool b)
+    | Int n -> Buffer.add_string buf (string_of_int n)
+    | Float f -> Buffer.add_string buf (float_lexeme f)
+    | Str s ->
+        Buffer.add_char buf '"';
+        escape buf s;
+        Buffer.add_char buf '"'
+    | List items -> write_seq buf '[' ']' (write buf) items
+    | Obj fields ->
+        write_seq buf '{' '}'
+          (fun (k, v) ->
+            write buf (Str k);
+            Buffer.add_char buf ':';
+            write buf v)
+          fields
+
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+
+  exception Bad of string
+
+  let parse s =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') -> incr pos; skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      if peek () = Some c then incr pos
+      else fail (Printf.sprintf "expected %C" c)
+    in
+    let literal word value =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; value)
+      else fail ("expected " ^ word)
+    in
+    let hex4 () =
+      let digit () =
+        match peek () with
+        | Some ('0' .. '9' as c) -> incr pos; Char.code c - 48
+        | Some ('a' .. 'f' as c) -> incr pos; Char.code c - 87
+        | Some ('A' .. 'F' as c) -> incr pos; Char.code c - 55
+        | _ -> fail "bad \\u escape"
+      in
+      let a = digit () in
+      let b = digit () in
+      let c = digit () in
+      (a lsl 12) lor (b lsl 8) lor (c lsl 4) lor digit ()
+    in
+    let string_lit () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> incr pos; Buffer.contents buf
+        | Some '\\' ->
+            incr pos;
+            (match peek () with
+            | Some (('"' | '\\' | '/') as c) -> incr pos; Buffer.add_char buf c
+            | Some 'n' -> incr pos; Buffer.add_char buf '\n'
+            | Some 't' -> incr pos; Buffer.add_char buf '\t'
+            | Some 'r' -> incr pos; Buffer.add_char buf '\r'
+            | Some 'b' -> incr pos; Buffer.add_char buf '\b'
+            | Some 'f' -> incr pos; Buffer.add_char buf '\012'
+            | Some 'u' ->
+                incr pos;
+                let u = hex4 () in
+                (* a surrogate half is no character on its own *)
+                if not (Uchar.is_valid u) then fail "unsupported \\u escape";
+                Buffer.add_utf_8_uchar buf (Uchar.of_int u)
+            | _ -> fail "bad escape");
+            go ()
+        | Some c -> incr pos; Buffer.add_char buf c; go ()
+      in
+      go ()
+    in
+    (* An integer lexeme is an [Int] when it fits, a fraction or an
+       exponent makes a [Float], so a reader can tell 2 from 2.0. *)
+    let number () =
+      let start = !pos in
+      let integral = ref true in
+      let rec scan () =
+        match peek () with
+        | Some ('0' .. '9' | '-' | '+') -> incr pos; scan ()
+        | Some ('.' | 'e' | 'E') -> integral := false; incr pos; scan ()
+        | _ -> ()
+      in
+      scan ();
+      let lexeme = String.sub s start (!pos - start) in
+      match
+        if !integral then Option.map (fun i -> Int i) (int_of_string_opt lexeme)
+        else None
+      with
+      | Some v -> v
+      | None -> (
+          match float_of_string_opt lexeme with
+          | Some f -> Float f
+          | None -> fail (Printf.sprintf "bad number %S" lexeme))
+    in
+    let rec value () =
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+          Obj
+            (seq '}' (fun () ->
+                 skip_ws ();
+                 let key = string_lit () in
+                 skip_ws ();
+                 expect ':';
+                 (key, value ())))
+      | Some '[' -> List (seq ']' value)
+      | Some '"' -> Str (string_lit ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> number ()
+      | Some c -> fail (Printf.sprintf "unexpected %C" c)
+      | None -> fail "unexpected end of input"
+    (* The items of an array or object, after its opening bracket. *)
+    and seq : 'a. char -> (unit -> 'a) -> 'a list =
+     fun closing item ->
+      incr pos;
+      skip_ws ();
+      if peek () = Some closing then (incr pos; [])
+      else
+        let rec go acc =
+          let x = item () in
+          skip_ws ();
+          match peek () with
+          | Some ',' -> incr pos; go (x :: acc)
+          | Some c when c = closing -> incr pos; List.rev (x :: acc)
+          | _ -> fail (Printf.sprintf "expected , or %C" closing)
+        in
+        go []
+    in
+    try
+      let v = value () in
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing bytes at byte %d" !pos)
+      else Ok v
+    with Bad msg -> Error msg
+
+  let member key = function
+    | Obj fields -> List.assoc_opt key fields
+    | _ -> None
+end
+
 module Export = struct
   let escape_label v =
     let buf = Buffer.create (String.length v + 2) in
@@ -323,69 +522,33 @@ module Export = struct
       samples;
     Buffer.contents buf
 
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  (* JSON has no literal for non-finite values; emit them as quoted
-     Prometheus-style strings so the document stays parseable. *)
-  let json_float f =
-    if f = infinity then "\"+Inf\""
-    else if f = neg_infinity then "\"-Inf\""
-    else if Float.is_nan f then "\"NaN\""
-    else if Float.is_integer f && Float.abs f < 1e15 then
-      Printf.sprintf "%.1f" f
-    else Printf.sprintf "%g" f
-
-  let json_labels labels =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) ->
-             Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-           labels)
-    ^ "}"
-
   let json samples =
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\"schema\":\"hppa-obs/1\",\"metrics\":[";
-    List.iteri
-      (fun i s ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"type\":\"%s\",\"labels\":%s,"
-             (json_escape s.name) (type_of s.value) (json_labels s.labels));
-        (match s.value with
-        | Counter_v n -> Buffer.add_string buf (Printf.sprintf "\"value\":%d" n)
-        | Gauge_v g ->
-            Buffer.add_string buf
-              (Printf.sprintf "\"value\":%s" (json_float g))
+    let open Json in
+    let metric s =
+      let value =
+        match s.value with
+        | Counter_v n -> [ ("value", Int n) ]
+        | Gauge_v g -> [ ("value", Float g) ]
         | Histogram_v { count; sum; buckets } ->
-            Buffer.add_string buf
-              (Printf.sprintf "\"count\":%d,\"sum\":%s,\"buckets\":[" count
-                 (json_float sum));
-            Array.iteri
-              (fun i (le, cum) ->
-                if i > 0 then Buffer.add_char buf ',';
-                Buffer.add_string buf
-                  (Printf.sprintf "[%s,%d]" (json_float le) cum))
-              buckets;
-            Buffer.add_char buf ']');
-        Buffer.add_char buf '}')
-      samples;
-    Buffer.add_string buf "]}";
-    Buffer.contents buf
+            let bucket (le, cum) = List [ Float le; Int cum ] in
+            [
+              ("count", Int count);
+              ("sum", Float sum);
+              ("buckets", List (List.map bucket (Array.to_list buckets)));
+            ]
+      in
+      Obj
+        (("name", Str s.name)
+        :: ("type", Str (type_of s.value))
+        :: ("labels", Obj (List.map (fun (k, v) -> (k, Str v)) s.labels))
+        :: value)
+    in
+    to_string
+      (Obj
+         [
+           ("schema", Str "hppa-obs/1");
+           ("metrics", List (List.map metric samples));
+         ])
 
   (* Parser for our own exposition format: enough for the scrape check in
      CI and for round-trip tests. *)
@@ -487,7 +650,14 @@ module Export = struct
 end
 
 module Trace = struct
-  type field = Int of int | Float of float | Str of string | Bool of bool
+  type field = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | Str of string
+    | List of Json.t list
+    | Obj of (string * Json.t) list
 
   type event = { seq : int; name : string; fields : (string * field) list }
 
@@ -535,27 +705,14 @@ module Trace = struct
     Mutex.unlock t.lock;
     !out
 
-  let field_json = function
-    | Int n -> string_of_int n
-    | Float f -> Export.json_float f
-    | Str s -> "\"" ^ Export.json_escape s ^ "\""
-    | Bool b -> string_of_bool b
-
-  let event_json e =
-    let buf = Buffer.create 64 in
-    Buffer.add_string buf
-      (Printf.sprintf "{\"seq\":%d,\"ev\":\"%s\"" e.seq
-         (Export.json_escape e.name));
-    List.iter
-      (fun (k, v) ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%s" (Export.json_escape k) (field_json v)))
-      e.fields;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
-
   let to_jsonl t =
-    String.concat "" (List.map (fun e -> event_json e ^ "\n") (events t))
+    String.concat ""
+      (List.map
+         (fun e ->
+           Json.to_string
+             (Json.Obj (("seq", Int e.seq) :: ("ev", Str e.name) :: e.fields))
+           ^ "\n")
+         (events t))
 
   let write_jsonl t oc = output_string oc (to_jsonl t)
 end

@@ -154,6 +154,42 @@ module Registry : sig
       are sampled at this moment. *)
 end
 
+(** The one JSON value of the system: every JSON document it writes
+    (the [hppa-obs/1] export, trace lines, the load generator's report,
+    the autotune plan store) is built as a {!Json.t} and printed by
+    {!Json.to_string}, and the plan store is read back by {!Json.parse}. *)
+module Json : sig
+  type t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list  (** fields in print order *)
+
+  val to_string : t -> string
+  (** Compact: no whitespace between tokens. Strings escape the double
+      quote, the backslash, newline and tab by name and the other bytes
+      below 0x20 as [\u00XX]; all other bytes pass through. A float
+      prints as ["%.1f"] when integral and below 1e15 in magnitude, else
+      as ["%g"] (six significant digits); JSON has no literal for
+      non-finite values, so they print as the quoted strings ["+Inf"],
+      ["-Inf"] and ["NaN"]. *)
+
+  val parse : string -> (t, string) result
+  (** One JSON document, surrounding whitespace allowed. A number
+      without fraction or exponent that fits an [int] is an [Int]; any
+      other number is a [Float], so a reader can insist on integers.
+      A [\uXXXX] escape decodes to UTF-8; surrogate halves are refused.
+      The error names the byte offset. [parse (to_string v) = v] for every
+      [v] whose floats are finite and print exactly. *)
+
+  val member : string -> t -> t option
+  (** [member key (Obj fields)] is the first field named [key]; [None]
+      for a missing field or a value that is not an object. *)
+end
+
 (** Serializers over {!Registry.snapshot}. *)
 module Export : sig
   val prometheus : sample list -> string
@@ -188,7 +224,14 @@ end
     never blocking). Thread- and domain-safe; intended for opt-in tracing
     so a mutex per event is acceptable. *)
 module Trace : sig
-  type field = Int of int | Float of float | Str of string | Bool of bool
+  type field = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Float of float
+    | Str of string
+    | List of Json.t list
+    | Obj of (string * Json.t) list
 
   type event = { seq : int; name : string; fields : (string * field) list }
 

@@ -154,132 +154,6 @@ type measurement = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* A minimal JSON reader for our own output (no JSON library in the
-   dependency set).                                                    *)
-
-module Json = struct
-  type t =
-    | Obj of (string * t) list
-    | Arr of t list
-    | Str of string
-    | Num of float
-    | Bool of bool
-    | Null
-
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') -> advance (); skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word value =
-      let l = String.length word in
-      if !pos + l <= n && String.sub s !pos l = word then (pos := !pos + l; value)
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let string_lit () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance (); Buffer.contents buf
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some (('"' | '\\' | '/') as c) -> advance (); Buffer.add_char buf c; go ()
-            | Some 'n' -> advance (); Buffer.add_char buf '\n'; go ()
-            | Some 't' -> advance (); Buffer.add_char buf '\t'; go ()
-            | _ -> fail "unsupported escape")
-        | Some c -> advance (); Buffer.add_char buf c; go ()
-      in
-      go ()
-    in
-    let number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c when is_num_char c -> true | _ -> false) do
-        advance ()
-      done;
-      let span = String.sub s start (!pos - start) in
-      match float_of_string_opt span with
-      | Some f -> f
-      | None -> fail (Printf.sprintf "bad number %S" span)
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then (advance (); Obj [])
-          else
-            let rec members acc =
-              skip_ws ();
-              let key = string_lit () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); members ((key, v) :: acc)
-              | Some '}' -> advance (); Obj (List.rev ((key, v) :: acc))
-              | _ -> fail "expected , or } in object"
-            in
-            members []
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then (advance (); Arr [])
-          else
-            let rec elems acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' -> advance (); elems (v :: acc)
-              | Some ']' -> advance (); Arr (List.rev (v :: acc))
-              | _ -> fail "expected , or ] in array"
-            in
-            elems []
-      | Some '"' -> Str (string_lit ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> fail "unexpected end of input"
-    in
-    try
-      let v = value () in
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing bytes at %d" !pos)
-      else Ok v
-    with Bad msg -> Error msg
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let to_string = function Str s -> Some s | _ -> None
-  let to_int = function Num f -> Some (int_of_float f) | _ -> None
-  let to_bool = function Bool b -> Some b | _ -> None
-end
-
-(* ------------------------------------------------------------------ *)
 (* Store                                                               *)
 
 let schema = "hppa-bench-plans/2"
@@ -301,89 +175,117 @@ module Store = struct
   let find_digest t digest =
     entries t |> List.filter (fun m -> m.digest = digest)
 
-  let escape s =
-    let buf = Buffer.create (String.length s) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
   let entry_json m =
-    let cert =
+    let open Obs.Json in
+    Obj
+      ([
+         ("digest", Str m.digest);
+         ("workload", Str m.workload);
+         ("strategy", Str m.strategy);
+         ("request", Str m.request);
+         ("entry", Str m.entry);
+         ("samples", Int m.samples);
+         ("total_cycles", Int m.total_cycles);
+         ("min_cycles", Int m.min_cycles);
+         ("max_cycles", Int m.max_cycles);
+         ("used_engine", Bool m.used_engine);
+       ]
+      (* Scalar measurements stay byte-identical to older stores: the
+         field only appears when batching was actually used. *)
+      @ (if m.batch_width > 1 then [ ("batch_width", Int m.batch_width) ]
+         else [])
+      @
       match (m.cert_kind, m.cert_digest) with
-      | Some k, Some d ->
-          Printf.sprintf ",\"cert_kind\":\"%s\",\"cert_digest\":\"%s\""
-            (escape k) (escape d)
-      | _ -> ""
-    in
-    (* Scalar measurements stay byte-identical to older stores: the
-       field only appears when batching was actually used. *)
-    let batch =
-      if m.batch_width > 1 then
-        Printf.sprintf ",\"batch_width\":%d" m.batch_width
-      else ""
-    in
-    Printf.sprintf
-      "{\"digest\":\"%s\",\"workload\":\"%s\",\"strategy\":\"%s\",\"request\":\"%s\",\"entry\":\"%s\",\"samples\":%d,\"total_cycles\":%d,\"min_cycles\":%d,\"max_cycles\":%d,\"used_engine\":%b%s%s}"
-      (escape m.digest) (escape m.workload) (escape m.strategy)
-      (escape m.request) (escape m.entry) m.samples m.total_cycles m.min_cycles
-      m.max_cycles m.used_engine batch cert
+      | Some k, Some d -> [ ("cert_kind", Str k); ("cert_digest", Str d) ]
+      | _ -> [])
 
   let to_json t =
-    Printf.sprintf "{\"schema\":\"%s\",\"entries\":[%s]}\n" schema
-      (String.concat "," (List.map entry_json (entries t)))
+    Obs.Json.(
+      to_string
+        (Obj
+           [
+             ("schema", Str schema);
+             ("entries", List (List.map entry_json (entries t)));
+           ]))
+    ^ "\n"
 
+  (* The store is outside input: a missing or mistyped field is an error
+     that names it, and an integer field takes only an integer lexeme in
+     [int] range (1.5 and 1e30 are refused, not truncated). *)
   let measurement_of_json j =
-    let str key = Option.bind (Json.member key j) Json.to_string in
-    let int key = Option.bind (Json.member key j) Json.to_int in
-    let bool key = Option.bind (Json.member key j) Json.to_bool in
-    match
-      (str "digest", str "workload", str "strategy", str "request", str "entry",
-       int "samples", int "total_cycles", int "min_cycles", int "max_cycles",
-       bool "used_engine")
-    with
-    | ( Some digest, Some workload, Some strategy, Some request, Some entry,
-        Some samples, Some total_cycles, Some min_cycles, Some max_cycles,
-        Some used_engine ) when samples > 0 ->
-        Ok
-          {
-            strategy; request; entry; digest; workload; samples; total_cycles;
-            mean_cycles = float_of_int total_cycles /. float_of_int samples;
-            min_cycles; max_cycles; used_engine;
-            (* optional since the batched engine landed; absent in older
-               stores = scalar measurement *)
-            batch_width = Option.value (int "batch_width") ~default:1;
-            cert_kind = str "cert_kind";
-            cert_digest = str "cert_digest";
-          }
-    | _ -> Error "entry is missing a required field"
+    let ( let* ) = Result.bind in
+    let field key what get =
+      match Obs.Json.member key j with
+      | None -> Error (Printf.sprintf "entry is missing field %S" key)
+      | Some v -> (
+          match get v with
+          | Some x -> Ok x
+          | None ->
+              Error
+                (Printf.sprintf "entry field %S: expected %s, got %s" key what
+                   (Obs.Json.to_string v)))
+    in
+    let optional get key =
+      match Obs.Json.member key j with
+      | None -> Ok None
+      | Some _ -> Result.map Option.some (get key)
+    in
+    let str key =
+      field key "a string" (function Obs.Json.Str s -> Some s | _ -> None)
+    in
+    let int key =
+      field key "an integer" (function Obs.Json.Int n -> Some n | _ -> None)
+    in
+    let* digest = str "digest" in
+    let* workload = str "workload" in
+    let* strategy = str "strategy" in
+    let* request = str "request" in
+    let* entry = str "entry" in
+    let* samples = int "samples" in
+    let* total_cycles = int "total_cycles" in
+    let* min_cycles = int "min_cycles" in
+    let* max_cycles = int "max_cycles" in
+    let* used_engine =
+      field "used_engine" "a boolean" (function
+        | Obs.Json.Bool b -> Some b
+        | _ -> None)
+    in
+    (* optional since the batched engine landed; absent in older stores
+       = scalar measurement *)
+    let* batch_width = optional int "batch_width" in
+    let* cert_kind = optional str "cert_kind" in
+    let* cert_digest = optional str "cert_digest" in
+    if samples <= 0 then
+      Error (Printf.sprintf "entry field \"samples\": %d is not positive" samples)
+    else
+      Ok
+        {
+          strategy; request; entry; digest; workload; samples; total_cycles;
+          mean_cycles = float_of_int total_cycles /. float_of_int samples;
+          min_cycles; max_cycles; used_engine;
+          batch_width = Option.value batch_width ~default:1;
+          cert_kind; cert_digest;
+        }
 
   let of_json text =
-    match Json.parse text with
+    match Obs.Json.parse text with
     | Error e -> Error ("bad JSON: " ^ e)
     | Ok j -> (
-        match Option.bind (Json.member "schema" j) Json.to_string with
-        | Some s when s = schema -> (
-            match Json.member "entries" j with
-            | Some (Json.Arr items) ->
-                let t = create () in
-                let rec go = function
-                  | [] -> Ok t
-                  | item :: rest -> (
-                      match measurement_of_json item with
-                      | Ok m -> add t m; go rest
-                      | Error _ as e -> e)
-                in
-                go items
-            | _ -> Error "missing \"entries\" array")
-        | Some other ->
+        match (Obs.Json.member "schema" j, Obs.Json.member "entries" j) with
+        | Some (Str s), Some (List items) when s = schema ->
+            let t = create () in
+            let rec go = function
+              | [] -> Ok t
+              | item :: rest -> (
+                  match measurement_of_json item with
+                  | Ok m -> add t m; go rest
+                  | Error _ as e -> e)
+            in
+            go items
+        | Some (Str s), _ when s = schema -> Error "missing \"entries\" array"
+        | Some (Str other), _ ->
             Error (Printf.sprintf "schema %S (expected %S)" other schema)
-        | None -> Error "missing \"schema\"")
+        | _ -> Error "missing \"schema\"")
 
   let save t path =
     try

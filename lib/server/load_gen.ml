@@ -451,63 +451,45 @@ let hit_rate s =
 
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when c < ' ' -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* A saturated percentile is [infinity]; JSON has no literal for it, so
-   quote it Prometheus-style. *)
-let json_us f =
-  if Float.is_finite f then Printf.sprintf "%.0f" f
-  else if f = infinity then "\"+Inf\""
-  else if f = neg_infinity then "\"-Inf\""
-  else "\"NaN\""
-
 let write_json ~path s =
+  let open Hppa_obs.Obs.Json in
+  (* A STATS value is a number when it reads as a finite one, else a
+     string ("+Inf" reads as a float but has no JSON literal). *)
+  let stat v =
+    match (int_of_string_opt v, float_of_string_opt v) with
+    | Some n, _ -> Int n
+    | None, Some f when Float.is_finite f -> Float f
+    | _ -> Str v
+  in
+  let doc =
+    Obj
+      [
+        ("schema", Str "hppa-bench-serve/2");
+        ("dist", Str (dist_to_string s.dist));
+        ("requests", Int s.requests);
+        ("conns", Int s.conns);
+        ( "seed",
+          (* an int64 beyond OCaml's 63-bit int stays exact as text *)
+          if Int64.(equal (of_int (to_int s.seed)) s.seed) then
+            Int (Int64.to_int s.seed)
+          else Str (Int64.to_string s.seed) );
+        ("ok", Int s.ok);
+        ("errors", Int s.errors);
+        ("wall_seconds", Float s.wall_s);
+        ("throughput_rps", Float s.throughput_rps);
+        ( "offered_rps",
+          Option.fold ~none:Null ~some:(fun r -> Float r) s.offered_rps );
+        ("client_p50_us", Float s.p50_us);
+        ("client_p99_us", Float s.p99_us);
+        ("batch_width", Int s.batch_width);
+        ("batch_mismatches", Int s.batch_mismatches);
+        ( "server_stats",
+          Obj (List.map (fun (k, v) -> (k, stat v)) s.server_stats) );
+      ]
+  in
   let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"schema\": \"hppa-bench-serve/2\",\n";
-  out "  \"dist\": %S,\n" (dist_to_string s.dist);
-  out "  \"requests\": %d,\n" s.requests;
-  out "  \"conns\": %d,\n" s.conns;
-  out "  \"seed\": %Ld,\n" s.seed;
-  out "  \"ok\": %d,\n" s.ok;
-  out "  \"errors\": %d,\n" s.errors;
-  out "  \"wall_seconds\": %.3f,\n" s.wall_s;
-  out "  \"throughput_rps\": %.1f,\n" s.throughput_rps;
-  (match s.offered_rps with
-  | Some r -> out "  \"offered_rps\": %.1f,\n" r
-  | None -> out "  \"offered_rps\": null,\n");
-  out "  \"client_p50_us\": %s,\n" (json_us s.p50_us);
-  out "  \"client_p99_us\": %s,\n" (json_us s.p99_us);
-  out "  \"batch_width\": %d,\n" s.batch_width;
-  out "  \"batch_mismatches\": %d,\n" s.batch_mismatches;
-  out "  \"server_stats\": {\n";
-  List.iteri
-    (fun i (k, v) ->
-      let v_json =
-        (* "+Inf" parses as a float but is not a JSON literal — only
-           pass finite numbers through bare. *)
-        match float_of_string_opt v with
-        | Some f when Float.is_finite f -> v
-        | Some _ | None -> Printf.sprintf "\"%s\"" (json_escape v)
-      in
-      out "    \"%s\": %s%s\n" (json_escape k) v_json
-        (if i < List.length s.server_stats - 1 then "," else ""))
-    s.server_stats;
-  out "  }\n";
-  out "}\n";
-  close_out oc
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc (to_string doc ^ "\n"))
 
 let pp_summary ppf s =
   let us f = if Float.is_finite f then Printf.sprintf "%.0f" f else "+Inf" in

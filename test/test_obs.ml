@@ -262,6 +262,104 @@ let test_parse_rejects_garbage () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* The JSON value                                                      *)
+
+(* Strings full of what the escaper must handle: control bytes, quotes,
+   backslashes, slashes and bytes above 0x7f. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size (int_bound 12)
+      ~gen:
+        (frequency
+           [
+             (2, char_range '\000' '\031');
+             (1, oneofl [ '"'; '\\'; '/' ]);
+             (3, char_range ' ' '~');
+             (2, char_range '\128' '\255');
+           ]))
+
+(* Floats that the printer writes exactly: quarters below 1000 ("%g"),
+   integers below 1e15 ("%.1f"), and a few exponents. *)
+let gen_json =
+  let open QCheck.Gen in
+  let leaf =
+    frequency
+      [
+        (1, return Obs.Json.Null);
+        (1, map (fun b -> Obs.Json.Bool b) bool);
+        (2, map (fun i -> Obs.Json.Int i) int);
+        ( 1,
+          map
+            (fun k -> Obs.Json.Float (float_of_int k /. 4.0))
+            (int_range (-4000) 4000) );
+        ( 1,
+          map
+            (fun k -> Obs.Json.Float (float_of_int k))
+            (int_range (-(1 lsl 49)) (1 lsl 49)) );
+        (1, map (fun f -> Obs.Json.Float f) (oneofl [ 1e20; -2.5e-7; 1e300 ]));
+        (3, map (fun s -> Obs.Json.Str s) gen_json_string);
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               ( 1,
+                 map (fun l -> Obs.Json.List l)
+                   (list_size (int_bound 4) (self (n / 4))) );
+               ( 1,
+                 map (fun l -> Obs.Json.Obj l)
+                   (list_size (int_bound 4)
+                      (pair gen_json_string (self (n / 4)))) );
+             ])
+
+(* The printed text is valid JSON (no raw byte below 0x20) and reads
+   back as the same value. *)
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) = v" ~count:1000
+    (QCheck.make ~print:Obs.Json.to_string gen_json) (fun v ->
+      let text = Obs.Json.to_string v in
+      String.for_all (fun c -> c >= ' ') text && Obs.Json.parse text = Ok v)
+
+let test_json_non_finite () =
+  Alcotest.(check string)
+    "quoted" "[\"+Inf\",\"-Inf\",\"NaN\"]"
+    (Obs.Json.to_string
+       (Obs.Json.List
+          [
+            Obs.Json.Float infinity;
+            Obs.Json.Float neg_infinity;
+            Obs.Json.Float nan;
+          ]))
+
+(* Escapes other writers produce, and the int/float split: an integer
+   lexeme that fits is an Int; a fraction, an exponent or an int
+   overflow makes a Float. *)
+let test_json_parse_lexemes () =
+  Alcotest.(check bool)
+    "escapes" true
+    (Obs.Json.parse {|" \u0041\u00e9\u20ac\r\b\f\/\u0001 "|}
+    = Ok (Obs.Json.Str " A\xc3\xa9\xe2\x82\xac\r\b\012/\001 "));
+  Alcotest.(check bool)
+    "numbers" true
+    (Obs.Json.parse " [2, 2.0, -7, 1e30, 99999999999999999999] "
+    = Ok
+        (Obs.Json.List
+           [
+             Obs.Json.Int 2; Obs.Json.Float 2.0; Obs.Json.Int (-7);
+             Obs.Json.Float 1e30; Obs.Json.Float 1e20;
+           ]));
+  List.iter
+    (fun bad ->
+      match Obs.Json.parse bad with
+      | Ok _ -> Alcotest.failf "accepted %S" bad
+      | Error _ -> ())
+    [ ""; "[1,]"; "{\"a\" 1}"; "\"\\x\""; "\"\\ud800\""; "[1] x"; "tru"; "-" ]
+
+(* ------------------------------------------------------------------ *)
 (* Trace ring                                                          *)
 
 let test_trace_overflow () =
@@ -392,6 +490,12 @@ let suite =
         Alcotest.test_case "parse rejects garbage" `Quick
           test_parse_rejects_garbage;
       ] );
+    ( "obs:json",
+      [
+        Alcotest.test_case "non-finite floats" `Quick test_json_non_finite;
+        Alcotest.test_case "parse lexemes" `Quick test_json_parse_lexemes;
+      ] );
+    Util.qsuite "obs:json props" [ prop_json_round_trip ];
     ( "obs:trace",
       [
         Alcotest.test_case "ring overflow" `Quick test_trace_overflow;

@@ -713,6 +713,70 @@ let test_store_rejects_garbage () =
   | Ok _ -> Alcotest.fail "truncated entry accepted"
   | Error _ -> ()
 
+(* Three entries of a store written by `bench plans --fast` before the
+   store moved onto Obs.Json: one with batch_width and certificate
+   fields, one with batch_width only, one with neither. Loading and
+   saving it again must give back the same bytes. *)
+let old_store =
+  "{\"schema\":\"hppa-bench-plans/2\",\"entries\":[\
+   {\"digest\":\"032bc9a4b6d1f61b80bcc3c0e94d32bd\",\"workload\":\"hw0:16:6221156\",\
+   \"strategy\":\"w64_divl_millicode\",\"request\":\"divl.var.u.w64\",\
+   \"entry\":\"via_divU128by64\",\"samples\":16,\"total_cycles\":5499,\
+   \"min_cycles\":173,\"max_cycles\":1539,\"used_engine\":true,\
+   \"batch_width\":16,\"cert_kind\":\"body_equiv\",\
+   \"cert_digest\":\"fad9cc36485f65e710dd52c81145c3b2\"},\
+   {\"digest\":\"04b594bfabb7c91afe9157a1b8a521c1\",\"workload\":\"figure5:32:24301\",\
+   \"strategy\":\"mul_millicode\",\"request\":\"mul.var.s\",\"entry\":\"via_mulI\",\
+   \"samples\":32,\"total_cycles\":648,\"min_cycles\":15,\"max_cycles\":37,\
+   \"used_engine\":true,\"batch_width\":32},\
+   {\"digest\":\"model:baseline_booth\",\"workload\":\"figure5:32:24301\",\
+   \"strategy\":\"baseline_booth\",\"request\":\"mul.var.s\",\"entry\":\"\",\
+   \"samples\":32,\"total_cycles\":640,\"min_cycles\":20,\"max_cycles\":20,\
+   \"used_engine\":false}]}\n"
+
+let test_old_store_bytes () =
+  match Autotune.Store.of_json old_store with
+  | Error e -> Alcotest.failf "old store: %s" e
+  | Ok store ->
+      Alcotest.(check int) "entries" 3 (Autotune.Store.length store);
+      Alcotest.(check string) "same bytes" old_store
+        (Autotune.Store.to_json store)
+
+(* The store is outside input (hppa-serve --plans): an integer field
+   holding 1.5 or 1e30 is refused with an error naming the field, not
+   truncated or reported as missing. *)
+let test_store_integer_fields () =
+  let with_samples v =
+    let key = "\"samples\":32" in
+    let i =
+      let rec find i =
+        if String.sub old_store i (String.length key) = key then i
+        else find (i + 1)
+      in
+      find 0
+    in
+    String.sub old_store 0 i ^ "\"samples\":" ^ v
+    ^ String.sub old_store (i + String.length key)
+        (String.length old_store - i - String.length key)
+  in
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun v ->
+      match Autotune.Store.of_json (with_samples v) with
+      | Ok _ -> Alcotest.failf "samples %s accepted" v
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "samples %s: error %S names the field" v e)
+            true
+            (contains e "\"samples\"" && not (contains e "missing")))
+    [ "1.5"; "1e30"; "99999999999999999999"; "\"32\"" ]
+
 let suite =
   [
     ( "plan:request",
@@ -750,6 +814,9 @@ let suite =
           test_measure_batch_parity;
         Alcotest.test_case "store rejects garbage" `Quick
           test_store_rejects_garbage;
+        Alcotest.test_case "old store bytes" `Quick test_old_store_bytes;
+        Alcotest.test_case "store integer fields" `Quick
+          test_store_integer_fields;
       ] );
     ( "plan:w64",
       [
