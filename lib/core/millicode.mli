@@ -27,17 +27,16 @@ val library : unit -> Program.library
 (** The library resolved on its own: once per process, and recorded by
     {!Program.library}, so that every {!Program.resolve} of a source
     ending in {!source} itself (such as [Program.concat [src; source]])
-    resolves only what comes before it. The image is shared: never
-    write into it. *)
+    resolves only what comes before it. Its image is the one every such
+    link refers to. *)
 
 val link : Program.source -> Program.resolved
-(** [link src] is [Program.resolve_exn (Program.concat [src; source])],
-    [src] followed by the library, spliced after [src] rather than
-    resolved again. A fresh image, as every resolve gives. *)
+(** [link src] is [Program.resolve_exn (Program.concat [src; source])]:
+    [src] resolved, followed by a reference to {!library}'s image rather
+    than a copy of it. *)
 
 val resolved : unit -> Program.resolved
-(** [link []]: a fresh image of the library alone, free to be written
-    into (a copy of {!library}'s, not resolved again). *)
+(** [link []]: {!library}'s own image, the same value on every call. *)
 
 val machine :
   ?config:Hppa_machine.Machine.Config.t -> unit -> Hppa_machine.Machine.t

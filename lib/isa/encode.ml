@@ -327,18 +327,21 @@ let decode ~addr (w : int32) =
   | 22 -> Ok Insn.Nop
   | op -> Error (Printf.sprintf "bad opcode %d" op)
 
-let encode_code code =
-  let out = Array.make (Array.length code) 0l in
+(* The words of the [n] instructions [fetch] gives, placed from
+   address 0. *)
+let encode_fetch n fetch =
+  let out = Array.make n 0l in
   let rec go i =
-    if i = Array.length code then Ok out
+    if i = n then Ok out
     else
-      let* w = encode ~addr:i code.(i) in
+      let* w = encode ~addr:i (fetch i) in
       out.(i) <- w;
       go (i + 1)
   in
   go 0
 
-let encode_program (p : Program.resolved) = encode_code p.code
+let encode_code code = encode_fetch (Array.length code) (Array.get code)
+let encode_program p = encode_fetch (Program.length p) (Program.insn p)
 
 let decode_program words =
   let out = Array.make (Array.length words) (Insn.Nop : int Insn.t) in

@@ -1,14 +1,20 @@
 type item = Label of string | Insn of string Insn.t
 type source = item list
 
+(* An image is a head, resolved by its own pass, and optionally a
+   recorded library placed right after it, at the head's length. The
+   library is shared, not copied: its instructions with a target are
+   moved up by the head's length when they are read. Nothing here is
+   written after [assemble] returns. *)
 type resolved = {
-  code : int Insn.t array;
-  symbols : (string, int) Hashtbl.t;
-  names : (int, string) Hashtbl.t;
+  code : int Insn.t array; (* the head's instructions *)
+  symbols : (string, int) Hashtbl.t; (* the head's labels *)
+  names : (int, string) Hashtbl.t; (* first head label at each address *)
+  tail : library option;
 }
 
-type library = {
-  image : resolved;
+and library = {
+  image : resolved; (* resolved by one pass over its source: no tail *)
   labels : string list; (* in source order *)
   rank : (string, int) Hashtbl.t; (* position in [labels] *)
   targeted : int array; (* addresses of the instructions with a target *)
@@ -87,7 +93,7 @@ let assemble (src : source) libs =
             code.(!addr) <- Insn.map_target lookup i;
             incr addr)
       src;
-    Ok { code; symbols; names }
+    Ok { code; symbols; names; tail = None }
   with Bad msg -> Error msg
 
 (* The libraries resolved so far, most recent first, keyed by their
@@ -113,29 +119,11 @@ let recorded_tail src =
 
 (* [head] resolved as the first unit of an image whose second and last
    unit is [lib]: [assemble] gives [head]'s part and its errors, and
-   [lib]'s image follows it, its targets and symbols moved up by
-   [head]'s length. Only the instructions with a target are rebuilt,
-   and the symbol table is copied, not rehashed. [head]'s names go in
-   last: a label it puts at [lib]'s first address stays the name there,
-   as in a pass over the whole image. *)
+   [lib] follows it by reference. An empty head is [lib]'s own image. *)
 let splice head lib =
-  Result.map
-    (fun h ->
-      let n = Array.length h.code and img = lib.image in
-      let code = Array.append h.code img.code in
-      let symbols = Hashtbl.copy img.symbols in
-      let names = Hashtbl.create (Hashtbl.length img.names + 16) in
-      if n > 0 then begin
-        Array.iter
-          (fun a -> code.(n + a) <- Insn.map_target (fun t -> t + n) img.code.(a))
-          lib.targeted;
-        Hashtbl.filter_map_inplace (fun _ a -> Some (a + n)) symbols
-      end;
-      Hashtbl.iter (Hashtbl.add symbols) h.symbols;
-      Hashtbl.iter (fun a l -> Hashtbl.add names (a + n) l) img.names;
-      Hashtbl.iter (Hashtbl.replace names) h.names;
-      { code; symbols; names })
-    (assemble head [ lib ])
+  match head with
+  | [] -> Ok lib.image
+  | _ :: _ -> Result.map (fun h -> { h with tail = Some lib }) (assemble head [ lib ])
 
 let resolve src =
   match recorded_tail src with
@@ -162,7 +150,7 @@ let build src =
         (fun a i -> if Insn.target i <> None then targeted := a :: !targeted)
         image.code;
       { image; labels; rank; targeted = Array.of_list (List.rev !targeted) })
-    (resolve src)
+    (assemble src [])
 
 let library src =
   let find () = List.assq_opt src (Atomic.get libraries) in
@@ -192,14 +180,62 @@ let resolve_exn src =
   | Ok p -> p
   | Error msg -> invalid_arg ("Program.resolve_exn: " ^ msg)
 
-let symbol p l = Hashtbl.find_opt p.symbols l
+let length p =
+  Array.length p.code
+  + match p.tail with Some lib -> Array.length lib.image.code | None -> 0
+
+let insn p a =
+  let n = Array.length p.code in
+  if a >= 0 && a < n then p.code.(a)
+  else
+    match p.tail with
+    | Some lib when a >= n && a - n < Array.length lib.image.code ->
+        Insn.map_target (fun t -> t + n) lib.image.code.(a - n)
+    | _ -> invalid_arg (Printf.sprintf "Program.insn: no address %d" a)
+
+let symbol p l =
+  match Hashtbl.find_opt p.symbols l with
+  | Some _ as a -> a
+  | None -> (
+      match p.tail with
+      | Some lib ->
+          Option.map
+            (fun a -> a + Array.length p.code)
+            (Hashtbl.find_opt lib.image.symbols l)
+      | None -> None)
 
 let symbol_exn p l =
   match symbol p l with
   | Some a -> a
   | None -> invalid_arg (Printf.sprintf "Program.symbol_exn: no label %S" l)
 
-let length p = Array.length p.code
+let name_at p a =
+  match Hashtbl.find_opt p.names a with
+  | Some _ as l -> l
+  | None -> (
+      match p.tail with
+      | Some lib -> Hashtbl.find_opt lib.image.names (a - Array.length p.code)
+      | None -> None)
+
+let iter_symbols f p =
+  Hashtbl.iter f p.symbols;
+  Option.iter
+    (fun lib ->
+      let n = Array.length p.code in
+      Hashtbl.iter (fun l a -> f l (a + n)) lib.image.symbols)
+    p.tail
+
+let code p =
+  match p.tail with
+  | None -> Array.copy p.code
+  | Some lib ->
+      let n = Array.length p.code in
+      let code = Array.append p.code lib.image.code in
+      Array.iter
+        (fun a -> code.(n + a) <- Insn.map_target (fun t -> t + n) code.(n + a))
+        lib.targeted;
+      code
+
 (* The last unit's cells are kept, so a program concatenated with a
    library ends in the library's own source. *)
 let rec concat = function
@@ -215,10 +251,9 @@ let pp_source ppf src =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_item ppf src
 
 let pp_resolved ppf p =
-  Array.iteri
-    (fun addr i ->
-      (match Hashtbl.find_opt p.names addr with
-      | Some l -> Format.fprintf ppf "%s:@." l
-      | None -> ());
-      Format.fprintf ppf "  %4d:  %a@." addr (Insn.pp Format.pp_print_int) i)
-    p.code
+  for addr = 0 to length p - 1 do
+    (match name_at p addr with
+    | Some l -> Format.fprintf ppf "%s:@." l
+    | None -> ());
+    Format.fprintf ppf "  %4d:  %a@." addr (Insn.pp Format.pp_print_int) (insn p addr)
+  done

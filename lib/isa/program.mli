@@ -2,18 +2,15 @@
     to executable images.
 
     A {!source} program carries symbolic labels; {!resolve} performs the
-    second assembler pass, producing an array of instructions whose branch
+    second assembler pass, producing an image: instructions whose branch
     targets are absolute instruction indices, plus a symbol table used to
     call entry points and to form vectored-branch table addresses. *)
 
 type item = Label of string | Insn of string Insn.t
 type source = item list
 
-type resolved = private {
-  code : int Insn.t array;
-  symbols : (string, int) Hashtbl.t;
-  names : (int, string) Hashtbl.t; (* first label at each address *)
-}
+type resolved
+(** An executable image: immutable, read through the accessors below. *)
 
 val resolve : source -> (resolved, string) result
 (** Fails on duplicate labels, undefined targets, or instructions rejected by
@@ -22,12 +19,12 @@ val resolve : source -> (resolved, string) result
     Cost: one pass over [src], unless [src] ends in the source of a
     recorded {!library} — physically, the very list given to {!library},
     as {!concat} keeps it. Then only the items before it are resolved
-    (against the library, with the same errors as a whole pass) and the
-    library's image is copied after them: its code array, with only the
-    instructions that have a target rebuilt, and its symbols and names,
-    moved up by the head's length. The longest recorded suffix is the
-    one spliced. Either way the image is fresh: the caller may write
-    into it, and no later image sees that. *)
+    (against the library, with the same errors as a whole pass), and the
+    image refers to the library's after them instead of copying it: a
+    link's work and allocation are the head's, whatever the library's
+    size. The longest recorded suffix is the one spliced; when nothing
+    comes before it, the image is the library's own. Every accessor
+    reads the image as a whole pass would have made it. *)
 
 val resolve_exn : source -> resolved
 
@@ -44,8 +41,8 @@ val library : source -> (library, string) result
     fails to resolve are not recorded. *)
 
 val library_image : library -> resolved
-(** The library's own image, shared by every caller and every later
-    {!resolve} that splices it: never write into it. *)
+(** The library's own image, shared by every caller and by every later
+    {!resolve} that splices it. *)
 
 val library_suffix : source -> int option
 (** [Some k] when [src], from its item [k] on, is the source of a
@@ -61,9 +58,26 @@ val resolve_before : source -> library list -> (int Insn.t array, string) result
     resolved to the libraries' addresses in that image. The work is
     [src]'s, not the libraries': their code is not visited. *)
 
+val length : resolved -> int
+(** The number of instructions. *)
+
+val insn : resolved -> int -> int Insn.t
+(** The instruction at an address, its branch target absolute.
+    @raise Invalid_argument outside [0 .. length - 1]. *)
+
 val symbol : resolved -> string -> int option
 val symbol_exn : resolved -> string -> int
-val length : resolved -> int
+
+val name_at : resolved -> int -> string option
+(** The first label at an address, in source order. *)
+
+val iter_symbols : (string -> int -> unit) -> resolved -> unit
+(** Every label with its address, in no particular order. *)
+
+val code : resolved -> int Insn.t array
+(** A fresh array of every instruction, [insn] at each address: the
+    flat code an interpreter fetches from. Costs a pass over the whole
+    image; the caller owns the array. *)
 
 val concat : source list -> source
 (** Concatenate compilation units (e.g. a program and the millicode library);

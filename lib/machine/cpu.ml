@@ -48,6 +48,7 @@ type profile = {
 
 type t = {
   prog : Program.resolved;
+  code : int Insn.t array;
   regs : int32 array;
   mem : int32 array;
   delay : bool;
@@ -105,6 +106,7 @@ let create ?(mem_bytes = 65536) ?(delay_slots = false)
         prof.step_cycles);
   {
     prog;
+    code = Program.code prog;
     regs = Array.make 32 0l;
     mem = Array.make ((mem_bytes + 3) / 4) 0l;
     delay = delay_slots;
@@ -233,7 +235,7 @@ let alu_result t (op : Insn.alu) a b =
   | Andcm -> (Word.logand a (Word.lognot b), false)
 
 let check_pc t target =
-  if target >= 0 && target < Array.length t.prog.code then Ok target
+  if target >= 0 && target < Array.length t.code then Ok target
   else Error (Trap.Bad_pc target)
 
 let apply_control t = function
@@ -362,7 +364,7 @@ let exec t (i : int Insn.t) =
 
 let step t =
   if t.halted then Ok ()
-  else if t.pc < 0 || t.pc >= Array.length t.prog.code then begin
+  else if t.pc < 0 || t.pc >= Array.length t.code then begin
     (* A pending transfer whose slot lies past the image end: charge the
        slot fetch as a nullified cycle and transfer (only reachable from a
        branch that is the image's last instruction). *)
@@ -376,7 +378,7 @@ let step t =
     | None -> Error (Trap.Bad_pc t.pc)
   end
   else begin
-    let i = t.prog.code.(t.pc) in
+    let i = t.code.(t.pc) in
     (match t.icache with
     | Some c -> ignore (Icache.access c t.pc)
     | None -> ());

@@ -36,6 +36,9 @@ type profile = {
 
 type t = {
   prog : Program.resolved;
+  code : int Insn.t array;
+      (** [Program.code prog], flattened once at {!create}: the
+          interpreter's fetch and the engine's translation read it *)
   regs : int32 array;
   mem : int32 array;
   delay : bool;

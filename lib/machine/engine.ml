@@ -77,7 +77,7 @@ let cond_fn (c : Cond.t) : int -> int -> bool =
   | Even -> fun a b -> (a - b) land 1 = 0
 
 let make (cpu : Cpu.t) : int -> Cpu.outcome =
-  let code = cpu.prog.code in
+  let code = cpu.code in
   let len = Array.length code in
   let mem = cpu.mem in
   let mlen = Array.length mem in

@@ -102,7 +102,7 @@ let cond_fn (c : Cond.t) : int -> int -> bool =
 let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     (prog : Program.resolved) =
   if lanes <= 0 then invalid_arg "Engine_batch.create: lanes must be positive";
-  let code = prog.code in
+  let code = Program.code prog in
   let len = Array.length code in
   let mem_words = (mem_bytes + 3) / 4 in
   let uses_mem =

@@ -31,7 +31,7 @@ let engine_eligible t =
   && (match t.icache with None -> true | Some _ -> false)
   && (match t.pending with None -> true | Some _ -> false)
   && t.pc >= 0
-  && t.pc < Array.length t.prog.code
+  && t.pc < Array.length t.code
 
 let run ?fuel t =
   let fuel = match fuel with Some f -> f | None -> t.cfg.fuel in

@@ -266,22 +266,24 @@ let verify em =
           Error
             (Format.asprintf "@[<v>%a@]" Hppa_verify.Findings.pp_list findings))
 
-(* Words of [code] placed from address 0, checked to decode back to
-   [code]. *)
-let round_trip code =
-  match Encode.encode_code code with
-  | Error e -> Error e
-  | Ok words -> (
-      match Encode.decode_program words with
-      | Error e -> Error ("decode: " ^ e)
-      | Ok insns ->
-          if insns = code then Ok words
-          else Error "encode/decode round-trip mismatch")
+(* [words], the encoding of the [n] instructions [fetch] gives from
+   address 0, checked to decode back to them. *)
+let decodes_to n fetch words =
+  match Encode.decode_program words with
+  | Error e -> Error ("decode: " ^ e)
+  | Ok insns ->
+      let rec same i = i = n || (insns.(i) = fetch i && same (i + 1)) in
+      if same 0 then Ok words else Error "encode/decode round-trip mismatch"
 
-let encoded em =
-  match link em with
-  | Error e -> Error e
-  | Ok prog -> round_trip prog.Program.code
+let round_trip code =
+  Result.bind (Encode.encode_code code)
+    (decodes_to (Array.length code) (Array.get code))
+
+let round_trip_image prog =
+  Result.bind (Encode.encode_program prog)
+    (decodes_to (Program.length prog) (Program.insn prog))
+
+let encoded em = Result.bind (link em) round_trip_image
 
 let le_bytes words =
   let b = Bytes.create (4 * Array.length words) in
@@ -313,7 +315,7 @@ let dep_unit =
                       (src, w)
                       :: List.filteri (fun i _ -> i < dep_unit_cap - 1) !words;
                     (lib, w))
-                  (round_trip (Program.library_image lib).Program.code)))
+                  (round_trip_image (Program.library_image lib))))
 
 let digest em =
   let ( let* ) = Result.bind in

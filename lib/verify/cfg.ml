@@ -29,45 +29,44 @@ type t = {
   prog : Program.resolved;
   specs : (string * spec) list;
   entry_addrs : (int, unit) Hashtbl.t;  (** addresses of declared entries *)
-  jumped_into : bool array;
+  jumped_into : Bytes.t;
       (** can control arrive here other than by fall-through from the
           previous instruction? (label, branch target, BLR slot, or
           nullifier skip) *)
 }
 
 let make ?(specs = []) opts prog =
-  let code = prog.Program.code in
-  let n = Array.length code in
+  let n = Program.length prog in
   let entry_addrs = Hashtbl.create 16 in
   List.iter
     (fun s ->
-      match Hashtbl.find_opt prog.Program.symbols s.name with
+      match Program.symbol prog s.name with
       | Some a -> Hashtbl.replace entry_addrs a ()
       | None -> ())
     specs;
-  let jumped_into = Array.make n false in
-  let mark a = if a >= 0 && a < n then jumped_into.(a) <- true in
-  Hashtbl.iter (fun _ a -> mark a) prog.Program.symbols;
-  Array.iteri
-    (fun addr i ->
-      (match Insn.target i with Some a -> mark a | None -> ());
-      (match (i : int Insn.t) with
-      | Blr _ ->
-          let base = match opts.mode with Simple -> addr + 1 | Delay_slot -> addr + 2 in
-          for k = 0 to opts.blr_slots - 1 do
-            mark (base + (2 * k))
-          done
-      | Bl _ ->
-          mark (match opts.mode with Simple -> addr + 1 | Delay_slot -> addr + 2)
-      | _ -> ());
-      if Delay.is_nullifier i then mark (addr + 2))
-    code;
+  let jumped_into = Bytes.make n '\000' in
+  let mark a = if a >= 0 && a < n then Bytes.set jumped_into a '\001' in
+  Program.iter_symbols (fun _ a -> mark a) prog;
+  for addr = 0 to n - 1 do
+    let i = Program.insn prog addr in
+    (match Insn.target i with Some a -> mark a | None -> ());
+    (match (i : int Insn.t) with
+    | Blr _ ->
+        let base = match opts.mode with Simple -> addr + 1 | Delay_slot -> addr + 2 in
+        for k = 0 to opts.blr_slots - 1 do
+          mark (base + (2 * k))
+        done
+    | Bl _ ->
+        mark (match opts.mode with Simple -> addr + 1 | Delay_slot -> addr + 2)
+    | _ -> ());
+    if Delay.is_nullifier i then mark (addr + 2)
+  done;
   { opts; prog; specs = List.map (fun s -> (s.name, s)) specs; entry_addrs; jumped_into }
 
 let options t = t.opts
 let program t = t.prog
-let length t = Array.length t.prog.Program.code
-let insn t addr = t.prog.Program.code.(addr)
+let length t = Program.length t.prog
+let insn t addr = Program.insn t.prog addr
 
 let addr_of = function
   | Insn a | Slot (a, _) -> Some a
@@ -76,7 +75,7 @@ let addr_of = function
 
 let spec_at t addr =
   let name =
-    match Hashtbl.find_opt t.prog.Program.names addr with
+    match Program.name_at t.prog addr with
     | Some n -> n
     | None -> "<anon>"
   in
@@ -142,7 +141,7 @@ let blr_dests t addr =
 let guaranteed_trap t addr =
   match insn t addr with
   | Insn.Alu { op = Insn.Add; a; b; trap_ov = true; _ }
-    when addr > 0 && Reg.equal a b && not t.jumped_into.(addr) -> (
+    when addr > 0 && Reg.equal a b && Bytes.get t.jumped_into addr = '\000' -> (
       match insn t (addr - 1) with
       | Insn.Ldil { imm; t = r } ->
           Reg.equal r a && Hppa_word.Word.add_overflows_s imm imm

@@ -200,8 +200,9 @@ let prop_asm_roundtrip =
           (* Compare resolved images (the parser may expand pseudos). *)
           match (Program.resolve src, Program.resolve src') with
           | Ok p, Ok p' ->
-              Array.length p.code = Array.length p'.code
-              && Array.for_all2 (Insn.equal Int.equal) p.code p'.code
+              let c = Program.code p and c' = Program.code p' in
+              Array.length c = Array.length c'
+              && Array.for_all2 (Insn.equal Int.equal) c c'
           | _, _ -> false))
 
 let prop_encode_roundtrip =
@@ -216,7 +217,7 @@ let prop_encode_roundtrip =
           | Ok words -> (
               match Encode.decode_program words with
               | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg
-              | Ok insns' -> Array.for_all2 (Insn.equal Int.equal) p.code insns')))
+              | Ok insns' -> Array.for_all2 (Insn.equal Int.equal) (Program.code p) insns')))
 
 (* ------------------------------------------------------------------ *)
 (* Hand-written assembler cases                                        *)
@@ -304,20 +305,36 @@ let test_resolve_errors () =
    copy gives (fresh cells, so nothing in it is a recorded library). *)
 let full_pass src = Program.resolve (List.map Fun.id src)
 
-let bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+let symbols p =
+  let l = ref [] in
+  Program.iter_symbols (fun s a -> l := (s, a) :: !l) p;
+  List.sort compare !l
 
+(* Every accessor of [actual] reads what it reads of [expected]. *)
 let same_image name (expected : (Program.resolved, string) result) actual =
   match (expected, actual) with
   | Error e, Error a -> Alcotest.(check string) (name ^ ": error") e a
   | Ok e, Ok a ->
-      if e.Program.code <> a.Program.code then
+      let n = Program.length e in
+      Alcotest.(check int) (name ^ ": length") n (Program.length a);
+      for addr = 0 to n - 1 do
+        if Program.insn e addr <> Program.insn a addr then
+          Alcotest.failf "%s: instruction %d differs" name addr
+      done;
+      if Program.code e <> Program.code a then
         Alcotest.failf "%s: code differs" name;
       Alcotest.(check (list (pair string int)))
-        (name ^ ": symbols") (bindings e.Program.symbols)
-        (bindings a.Program.symbols);
-      Alcotest.(check (list (pair int string)))
-        (name ^ ": names") (bindings e.Program.names) (bindings a.Program.names)
+        (name ^ ": symbols") (symbols e) (symbols a);
+      List.iter
+        (fun (l, _) ->
+          Alcotest.(check (option int))
+            (name ^ ": symbol " ^ l) (Program.symbol e l) (Program.symbol a l))
+        (symbols e);
+      Alcotest.(check (option int))
+        (name ^ ": absent symbol") None (Program.symbol a "no such label");
+      let names p = List.init (n + 1) (fun addr -> (addr, Program.name_at p addr)) in
+      Alcotest.(check (list (pair int (option string))))
+        (name ^ ": names") (names e) (names a)
   | Ok _, Error a -> Alcotest.failf "%s: spliced link fails: %s" name a
   | Error e, Ok _ -> Alcotest.failf "%s: spliced link accepts (%s)" name e
 
@@ -345,7 +362,7 @@ let test_resolve_before () =
     in
     let whole =
       Result.map
-        (fun p -> Array.to_list (Array.sub p.code 0 own))
+        (fun p -> List.init own (Program.insn p))
         (full_pass (concat (src :: lib_srcs)))
     and head = Result.map Array.to_list (resolve_before src libs) in
     let code =
@@ -411,7 +428,7 @@ let test_splice () =
       (match check_splice (lib_name ^ ", trailing label") head lib_src with
       | Ok p ->
           Alcotest.(check (option string)) "trailing label names the address"
-            (Some "at_lib") (Hashtbl.find_opt p.names 1)
+            (Some "at_lib") (Program.name_at p 1)
       | Error e -> Alcotest.failf "trailing label: %s" e);
       (* A structural copy is not the recorded source: one whole pass. *)
       let copy = List.map Fun.id lib_src in
@@ -423,12 +440,12 @@ let test_splice () =
       ("div_gen", Hppa.Div_gen.source, "divU");
     ]
 
-(* Whatever a caller writes into an image, later images are unchanged. *)
+(* Whatever a caller writes into the code an image hands out, that
+   image and later images are unchanged. *)
 let test_image_isolation () =
   let spoil (p : Program.resolved) =
-    Array.fill p.code 0 (Array.length p.code) (Insn.Break { code = 7 });
-    Hashtbl.reset p.symbols;
-    Hashtbl.replace p.names 0 "spoiled"
+    let code = Program.code p in
+    Array.fill code 0 (Array.length code) (Insn.Break { code = 7 })
   in
   let expected = full_pass Hppa.Millicode.source in
   let head = [ Program.Label "main"; Program.Insn (Emit.b "divU") ] in
@@ -438,7 +455,9 @@ let test_image_isolation () =
     let name what = Printf.sprintf "%s, round %d" what round in
     spoil (Hppa.Millicode.resolved ());
     same_image (name "resolved ()") expected (Ok (Hppa.Millicode.resolved ()));
-    spoil (Program.resolve_exn linked);
+    let p = Program.resolve_exn linked in
+    spoil p;
+    same_image (name "spoiled image") expected_linked (Ok p);
     same_image (name "linked") expected_linked (Program.resolve linked);
     spoil (Hppa.Millicode.link head);
     same_image (name "Millicode.link") expected_linked
@@ -446,6 +465,54 @@ let test_image_isolation () =
     same_image (name "library image") expected
       (Ok (Program.library_image (Hppa.Millicode.library ())))
   done
+
+(* Links of different heads read the library from the library itself:
+   every library instruction without a target is the very value the
+   library's image holds, wherever the head puts it. *)
+let test_links_share_library () =
+  let lib = Program.library_image (Hppa.Millicode.library ()) in
+  Alcotest.(check bool) "resolved () is the library image" true
+    (Hppa.Millicode.resolved () == lib);
+  let link head = Program.resolve_exn (Program.concat [ head; Hppa.Millicode.source ]) in
+  let p1 = link [ Program.Label "main"; Program.Insn (Emit.b "divU") ]
+  and p2 =
+    link
+      [
+        Program.Insn Insn.Nop; Program.Insn Insn.Nop; Program.Label "f";
+        Program.Insn (Emit.bl "mulI" Reg.mrp);
+      ]
+  in
+  let shared = ref 0 in
+  for a = 0 to Program.length lib - 1 do
+    let i = Program.insn lib a in
+    if Insn.target i = None then begin
+      if not (Program.insn p1 (1 + a) == i && Program.insn p2 (3 + a) == i) then
+        Alcotest.failf "library instruction %d is not shared" a;
+      incr shared
+    end
+  done;
+  Alcotest.(check bool) "most of the library is shared" true
+    (!shared > Program.length lib / 2)
+
+(* A link allocates for its head only: nothing library-sized, so
+   nothing in the major heap. [Gc.counters]' major count is current;
+   [Gc.quick_stat]'s lags until the next minor collection on OCaml 5. *)
+let test_link_allocation () =
+  let head = [ Program.Label "main"; Program.Insn (Emit.b "divU"); Program.Insn Insn.Nop ] in
+  let link () = Program.resolve_exn (Program.concat [ head; Hppa.Millicode.source ]) in
+  ignore (link ());
+  let major () =
+    let _, _, m = Gc.counters () in
+    m
+  in
+  Gc.minor ();
+  let before = major () in
+  let p = link () in
+  let after = major () in
+  Alcotest.(check (float 0.)) "major-heap words of a link" 0. (after -. before);
+  Alcotest.(check int) "linked length"
+    (2 + Program.length (Hppa.Millicode.resolved ()))
+    (Program.length (Sys.opaque_identity p))
 
 let test_concat () =
   let open Program in
@@ -568,7 +635,7 @@ let test_millicode_encodes () =
       | Error msg -> Alcotest.failf "millicode failed to decode: %s" msg
       | Ok insns ->
           Alcotest.(check bool) "image identical" true
-            (Array.for_all2 (Insn.equal Int.equal) prog.code insns))
+            (Array.for_all2 (Insn.equal Int.equal) (Program.code prog) insns))
 
 let prop_image_roundtrip =
   QCheck.Test.make ~name:"binary image roundtrip" ~count:300
@@ -582,7 +649,7 @@ let prop_image_roundtrip =
           | Ok data -> (
               match Image.of_bytes data with
               | Error msg -> QCheck.Test.fail_reportf "of_bytes: %s" msg
-              | Ok insns' -> Array.for_all2 (Insn.equal Int.equal) p.code insns')))
+              | Ok insns' -> Array.for_all2 (Insn.equal Int.equal) (Program.code p) insns')))
 
 let test_image_rejects_garbage () =
   (match Image.of_bytes (Bytes.of_string "not an image") with
@@ -631,6 +698,8 @@ let suite =
         Alcotest.test_case "resolve before libraries" `Quick test_resolve_before;
         Alcotest.test_case "spliced library = whole pass" `Quick test_splice;
         Alcotest.test_case "images are never shared" `Quick test_image_isolation;
+        Alcotest.test_case "links share the library" `Quick test_links_share_library;
+        Alcotest.test_case "a link allocates nothing major" `Quick test_link_allocation;
         Alcotest.test_case "concat keeps the last unit" `Quick test_concat;
         Alcotest.test_case "validate ranges" `Quick test_validate_ranges;
         Alcotest.test_case "branch displacement" `Quick test_branch_displacement_limit;

@@ -9,4 +9,5 @@ let () =
    @ Test_compiler.suite @ Test_compiler_w64.suite @ Test_golden.suite
    @ Test_baselines.suite @ Test_delay.suite
    @ Test_verify.suite @ Test_engine.suite @ Test_batch.suite
-   @ Test_server.suite @ Test_obs.suite @ Test_plan.suite @ Test_w64.suite)
+   @ Test_server.suite @ Test_obs.suite @ Test_plan.suite @ Test_w64.suite
+   @ Test_pinned.suite)

@@ -531,11 +531,26 @@ let test_body_equiv_certified () =
       | v -> Alcotest.failf "%s: %a" entry V.Reciprocal.pp_verdict v)
     w64_entries
 
+(* Images are immutable, so the corrupted image is resolved from a
+   corrupted source: the library with a [break 31] two instructions
+   into [mulU128] (31 is the largest code {!Insn.validate} accepts). *)
 let test_body_equiv_refuted () =
   let canonical = Millicode.resolved () in
-  let prog = Millicode.resolved () in
-  let addr = Program.symbol_exn prog "mulU128" in
-  prog.Program.code.(addr + 2) <- Insn.Break { code = 99 };
+  let addr = Program.symbol_exn canonical "mulU128" + 2 in
+  let spoiled = Insn.Break { code = 31 } in
+  let src =
+    snd
+      (List.fold_left_map
+         (fun a item ->
+           match item with
+           | Program.Label _ -> (a, item)
+           | Program.Insn _ -> (a + 1, if a = addr then Program.Insn spoiled else item))
+         0 Millicode.source)
+  in
+  let prog = Program.resolve_exn src in
+  Alcotest.(check bool) "break 31 at mulU128+2" true
+    (Program.insn prog addr = spoiled
+    && Program.symbol prog "mulU128" = Some (addr - 2));
   match V.Driver.certify_body ~canonical prog ~entry:"mulU128" with
   | V.Reciprocal.Refuted _ -> ()
   | v -> Alcotest.failf "corrupted image: %a" V.Reciprocal.pp_verdict v
