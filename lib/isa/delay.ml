@@ -1,12 +1,5 @@
 type stats = { branches : int; filled : int; nullified : int }
 
-(* An instruction that may nullify its successor: moving its successor, or
-   parking a branch in its shadow, changes which instruction it annuls. *)
-let is_nullifier : type lbl. lbl Insn.t -> bool = function
-  | Comclr _ | Comiclr _ -> true
-  | Extr { cond; _ } -> not (Cond.equal cond Cond.Never)
-  | _ -> false
-
 (* Instructions that may trap keep their program position so trap PCs and
    pre-trap architectural state stay exact. *)
 let may_trap : type lbl. lbl Insn.t -> bool = function
@@ -25,11 +18,11 @@ let movable ~q ~p ~b =
   let ok_q =
     match q with
     | None | Some (Program.Label _) -> true
-    | Some (Program.Insn qi) -> not (is_nullifier qi || Insn.is_branch qi)
+    | Some (Program.Insn qi) -> not (Insn.is_nullifier qi || Insn.is_branch qi)
   in
   ok_q
   && (not (Insn.is_branch p))
-  && (not (is_nullifier p))
+  && (not (Insn.is_nullifier p))
   && (not (may_trap p))
   && p <> Insn.Nop
   &&

@@ -23,13 +23,6 @@
     experiment quantifies all three models on the whole millicode
     library. *)
 
-val is_nullifier : 'lbl Insn.t -> bool
-(** May the instruction nullify its successor? ([COMCLR], [COMICLR], and
-    [EXTR] with a condition completer.) The scheduler never moves an
-    instruction out of a nullifier's shadow and never parks a nullifier in
-    a delay slot; {!Hppa_verify.Hazards} machine-checks both invariants on
-    the transformed code. *)
-
 val may_trap : 'lbl Insn.t -> bool
 (** May the instruction trap? (Overflow-trapping arithmetic, loads and
     stores, [BREAK].) Trapping instructions keep their program position so

@@ -340,9 +340,6 @@ let encode_fetch n fetch =
   in
   go 0
 
-let encode_code code = encode_fetch (Array.length code) (Array.get code)
-let encode_program p = encode_fetch (Program.length p) (Program.insn p)
-
 let decode_program words =
   let out = Array.make (Array.length words) (Insn.Nop : int Insn.t) in
   let rec go i =
@@ -353,3 +350,16 @@ let decode_program words =
       go (i + 1)
   in
   go 0
+
+let round_trip n fetch =
+  let* words = encode_fetch n fetch in
+  match decode_program words with
+  | Error e -> Error ("decode: " ^ e)
+  | Ok insns ->
+      let rec same i = i = n || (insns.(i) = fetch i && same (i + 1)) in
+      if same 0 then Ok words else Error "encode/decode round-trip mismatch"
+
+let le_bytes words =
+  let b = Bytes.create (4 * Array.length words) in
+  Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
+  Bytes.unsafe_to_string b

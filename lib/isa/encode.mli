@@ -16,8 +16,17 @@ val encode : addr:int -> int Insn.t -> (int32, string) result
     range); such programs would not assemble on the real machine either. *)
 
 val decode : addr:int -> int32 -> (int Insn.t, string) result
-val encode_code : int Insn.t array -> (int32 array, string) result
-(** Encode instructions placed from address 0. *)
 
-val encode_program : Program.resolved -> (int32 array, string) result
+val encode_fetch : int -> (int -> int Insn.t) -> (int32 array, string) result
+(** [encode_fetch n fetch] encodes [fetch 0 .. fetch (n - 1)] placed
+    from address 0, e.g. an image through [Program.length]/[insn]. *)
+
 val decode_program : int32 array -> (int Insn.t array, string) result
+
+val round_trip : int -> (int -> int Insn.t) -> (int32 array, string) result
+(** {!encode_fetch}, checked to decode back to the same instructions.
+    Fails with the encoder's error, ["decode: "] followed by the
+    decoder's, or ["encode/decode round-trip mismatch"]. *)
+
+val le_bytes : int32 array -> string
+(** The words as little-endian bytes, four to a word. *)

@@ -3,7 +3,7 @@ let magic = "HPPA1"
 let ( let* ) = Result.bind
 
 let to_bytes prog =
-  let* words = Encode.encode_program prog in
+  let* words = Encode.encode_fetch (Program.length prog) (Program.insn prog) in
   let n = Array.length words in
   let out = Bytes.create (String.length magic + 4 + (4 * n)) in
   Bytes.blit_string magic 0 out 0 (String.length magic);

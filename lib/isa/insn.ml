@@ -102,6 +102,13 @@ let is_branch = function
   | Shd _ | Ldil _ | Ldo _ | Ldw _ | Stw _ | Ldaddr _ | Break _ | Nop ->
       false
 
+(* An instruction that may nullify its successor: moving its successor, or
+   parking a branch in its shadow, changes which instruction it annuls. *)
+let is_nullifier = function
+  | Comclr _ | Comiclr _ -> true
+  | Extr { cond; _ } -> not (Cond.equal cond Cond.Never)
+  | _ -> false
+
 let writes = function
   | Alu { t; _ }
   | Ds { t; _ }

@@ -101,6 +101,13 @@ val equal : ('lbl -> 'lbl -> bool) -> 'lbl t -> 'lbl t -> bool
 val is_branch : 'lbl t -> bool
 (** True for every control-transfer instruction, including [Blr]/[Bv]. *)
 
+val is_nullifier : 'lbl t -> bool
+(** May the instruction nullify its successor? ([COMCLR], [COMICLR], and
+    [EXTR] with a condition completer.) {!Delay}'s scheduler never moves
+    an instruction out of a nullifier's shadow and never parks a
+    nullifier in a delay slot; {!Hppa_verify.Hazards} machine-checks both
+    invariants on the transformed code. *)
+
 val writes : 'lbl t -> reg option
 (** The general register written, if any (before the [r0]-discard rule). *)
 

@@ -18,6 +18,8 @@ and library = {
   labels : string list; (* in source order *)
   rank : (string, int) Hashtbl.t; (* position in [labels] *)
   targeted : int array; (* addresses of the instructions with a target *)
+  words : (string, string) result option Atomic.t; (* see [once] *)
+  marks : Bytes.t option Atomic.t; (* see [once]; never written after *)
 }
 
 (* Resolve [src] as the first unit of an image whose later units are
@@ -149,7 +151,8 @@ let build src =
       Array.iteri
         (fun a i -> if Insn.target i <> None then targeted := a :: !targeted)
         image.code;
-      { image; labels; rank; targeted = Array.of_list (List.rev !targeted) })
+      { image; labels; rank; targeted = Array.of_list (List.rev !targeted);
+        words = Atomic.make None; marks = Atomic.make None })
     (assemble src [])
 
 let library src =
@@ -235,6 +238,70 @@ let code p =
         (fun a -> code.(n + a) <- Insn.map_target (fun t -> t + n) code.(n + a))
         lib.targeted;
       code
+
+(* [cell]'s value, computed by [f] on first use under [library_lock],
+   so once per library however many domains ask, and read without the
+   lock after. [f] must not call [library]: the lock is not reentrant. *)
+let once cell f =
+  match Atomic.get cell with
+  | Some v -> v
+  | None ->
+      Mutex.protect library_lock (fun () ->
+          match Atomic.get cell with
+          | Some v -> v
+          | None ->
+              let v = f () in
+              Atomic.set cell (Some v);
+              v)
+
+(* Every branch and address encoding is PC-relative, so a library's
+   words are the same wherever it sits in a linked image. *)
+let library_words lib =
+  once lib.words (fun () ->
+      let code = lib.image.code in
+      Result.map Encode.le_bytes
+        (Encode.round_trip (Array.length code) (Array.get code)))
+
+let table_bound img addr x =
+  if addr <= 0 || addr > length img then None
+  else
+    match insn img (addr - 1) with
+    | Insn.Extr { signed = false; r = _; pos = _; len; t; cond = Cond.Never }
+      when Reg.equal t x && len >= 1 && len <= 8 ->
+        Some (1 lsl len)
+    | _ -> None
+
+(* Everything control can reach other than by falling through: labels,
+   branch targets, call-return points, vectored-table slots (the whole
+   image tail for a table [table_bound] cannot bound) and nullifier
+   skips, mirroring the marking in [Hppa_verify.Cfg.make]. *)
+let marks img =
+  let n = length img in
+  let marks = Bytes.make n '\000' in
+  let mark a = if a >= 0 && a < n then Bytes.set marks a '\001' in
+  iter_symbols (fun _ a -> mark a) img;
+  for addr = 0 to n - 1 do
+    let i = insn img addr in
+    (match Insn.target i with Some a -> mark a | None -> ());
+    (match (i : int Insn.t) with
+    | Insn.Blr { x; _ } ->
+        let slots =
+          match table_bound img addr x with
+          | Some k -> k
+          | None -> ((n - addr) / 2) + 1
+        in
+        for k = 0 to slots - 1 do
+          mark (addr + 1 + (2 * k))
+        done
+    | Insn.Bl _ -> mark (addr + 1)
+    | _ -> ());
+    if Insn.is_nullifier i then mark (addr + 2)
+  done;
+  marks
+
+let fall_through_only lib a =
+  let marks = once lib.marks (fun () -> marks lib.image) in
+  a >= 0 && a < Bytes.length marks && Bytes.get marks a = '\000'
 
 (* The last unit's cells are kept, so a program concatenated with a
    library ends in the library's own source. *)

@@ -30,19 +30,45 @@ val resolve_exn : source -> resolved
 
 type library
 (** A compilation unit resolved on its own, kept to be linked after
-    other code without resolving it again. *)
+    other code without resolving it again, with the facts about it that
+    other layers derive: its encoded words ({!library_words}) and the
+    addresses control reaches only by falling through
+    ({!fall_through_only}). *)
 
 val library : source -> (library, string) result
 (** {!resolve} the unit alone, and record it, keyed by [src] by identity,
     in a table of at most 8 libraries (the oldest goes first) shared by
-    every domain. A recorded [src] is not resolved again: the call
-    returns the recorded library. Each [src] is resolved once even when
-    domains ask for it at the same time. An empty [src] and a unit that
-    fails to resolve are not recorded. *)
+    every domain: the only per-library table in the program. A recorded
+    [src] is not resolved again: the call returns the recorded library.
+    Each [src] is resolved once even when domains ask for it at the same
+    time. An empty [src] and a unit that fails to resolve are not
+    recorded.
+
+    Cost: the resolution only. Each derived fact is computed on its
+    first use, once per library even when domains ask at the same time;
+    later reads take no lock and return the same value. *)
 
 val library_image : library -> resolved
 (** The library's own image, shared by every caller and by every later
     {!resolve} that splices it. *)
+
+val library_words : library -> (string, string) result
+(** The image's {!Encode.round_trip} words, or its error, as
+    {!Encode.le_bytes}: the library's words wherever a link places it,
+    since every branch and address encoding is PC-relative. *)
+
+val table_bound : resolved -> int -> Reg.t -> int option
+(** [Some 2^len] when the instruction before address [addr] is a plain
+    unconditional unsigned extract of [len] bits (1 to 8) into [x]: the
+    bound on the index of a [BLR] through [x] at [addr], if the extract
+    dominates it. *)
+
+val fall_through_only : library -> int -> bool
+(** [fall_through_only lib a]: control reaches address [a] of the
+    library's image only by falling through, not as a label, a branch
+    target, a call-return point, a nullifier's skip or a [BLR] table
+    slot ({!table_bound} slots, or the whole image tail for a table it
+    cannot bound). [false] outside the image. *)
 
 val library_suffix : source -> int option
 (** [Some k] when [src], from its item [k] on, is the source of a

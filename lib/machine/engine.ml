@@ -56,9 +56,6 @@ type st = {
    traps is a terminator. *)
 type compiled = Body of (unit -> unit) | Term of (unit -> int)
 
-(* [Cond.eval] specialised to the unsigned-int representation. Evaluated
-   once at translation time; the returned closure is monomorphic on
-   ints and allocation-free. *)
 let cond_fn (c : Cond.t) : int -> int -> bool =
   match c with
   | Never -> fun _ _ -> false
@@ -76,12 +73,7 @@ let cond_fn (c : Cond.t) : int -> int -> bool =
   | Odd -> fun a b -> (a - b) land 1 = 1
   | Even -> fun a b -> (a - b) land 1 = 0
 
-let make (cpu : Cpu.t) : int -> Cpu.outcome =
-  let code = cpu.code in
-  let len = Array.length code in
-  let mem = cpu.mem in
-  let mlen = Array.length mem in
-  (* Intern the mnemonics so closures count into a dense int array. *)
+let intern_mnemonics code =
   let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let rev_names = ref [] in
   let intern m =
@@ -94,7 +86,14 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
         id
   in
   let mid = Array.map (fun i -> intern (Insn.mnemonic i)) code in
-  let names = Array.of_list (List.rev !rev_names) in
+  (mid, Array.of_list (List.rev !rev_names))
+
+let make (cpu : Cpu.t) : int -> Cpu.outcome =
+  let code = cpu.code in
+  let len = Array.length code in
+  let mem = cpu.mem in
+  let mlen = Array.length mem in
+  let mid, names = intern_mnemonics code in
   let nmn = Array.length names in
   let mc = Array.make (max nmn 1) 0 in
   let st =

@@ -18,3 +18,13 @@ val make : Cpu.t -> int -> Cpu.outcome
     default branch model (no delay slots), has no trace hook or icache
     attached, is not halted, has no pending transfer, and [cpu.pc] is
     inside the program image. *)
+
+(** The translation-time helpers {!Engine_batch} shares: *)
+
+val cond_fn : Cond.t -> int -> int -> bool
+(** [Cond.eval] on the unsigned-int register representation: the
+    returned closure is monomorphic on ints and allocation-free. *)
+
+val intern_mnemonics : int Insn.t array -> int array * string array
+(** Each instruction's dense mnemonic id, and each id's mnemonic:
+    closures count executions into an int array by id. *)

@@ -80,25 +80,6 @@ type compiled =
   | Body of (int array -> int -> int)
   | Term of (int array -> int -> int)
 
-(* [Cond.eval] specialised to the unsigned-int representation, exactly
-   as in the scalar engine. *)
-let cond_fn (c : Cond.t) : int -> int -> bool =
-  match c with
-  | Never -> fun _ _ -> false
-  | Always -> fun _ _ -> true
-  | Eq -> fun a b -> a = b
-  | Neq -> fun a b -> a <> b
-  | Lt -> fun a b -> sext a < sext b
-  | Le -> fun a b -> sext a <= sext b
-  | Gt -> fun a b -> sext b < sext a
-  | Ge -> fun a b -> sext b <= sext a
-  | Ult -> fun a b -> a < b
-  | Ule -> fun a b -> a <= b
-  | Ugt -> fun a b -> b < a
-  | Uge -> fun a b -> b <= a
-  | Odd -> fun a b -> (a - b) land 1 = 1
-  | Even -> fun a b -> (a - b) land 1 = 0
-
 let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     (prog : Program.resolved) =
   if lanes <= 0 then invalid_arg "Engine_batch.create: lanes must be positive";
@@ -124,19 +105,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
   let lstatus = Array.make lanes s_halted in
   let ltrap = Array.make lanes (Trap.Break 0) in
   (* Interned mnemonics: closures count cohort sizes into a dense array. *)
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let rev_names = ref [] in
-  let intern m =
-    match Hashtbl.find_opt ids m with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length ids in
-        Hashtbl.add ids m id;
-        rev_names := m :: !rev_names;
-        id
-  in
-  let mid = Array.map (fun i -> intern (Insn.mnemonic i)) code in
-  let names = Array.of_list (List.rev !rev_names) in
+  let mid, names = Engine.intern_mnemonics code in
   let mc = Array.make (max (Array.length names) 1) 0 in
   (* Per-run aggregates, reset by [go]. *)
   let nulls = ref 0 and taken = ref 0 and disp = ref 0 in
@@ -459,7 +428,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
               k)
     | Comclr { cond; a; b; t = d } ->
         let ra = rf.(ri a) and rb = rf.(ri b) and rd = rf.(wi d) in
-        let f = cond_fn cond in
+        let f = Engine.cond_fn cond in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
@@ -472,7 +441,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
             k)
     | Comiclr { cond; imm; a; t = d } ->
         let ra = rf.(ri a) and rd = rf.(wi d) and imm = iu imm in
-        let f = cond_fn cond in
+        let f = Engine.cond_fn cond in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
@@ -508,7 +477,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
                   done;
                   k)
         | _ ->
-            let f = cond_fn cond in
+            let f = Engine.cond_fn cond in
             if signed then
               Term (fun ln k ->
                   mc.(n) <- mc.(n) + k;
@@ -641,7 +610,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
             k)
     | Comb { cond; a; b; target; n = _ } ->
         let ra = rf.(ri a) and rb = rf.(ri b) in
-        let f = cond_fn cond in
+        let f = Engine.cond_fn cond in
         if target >= 0 && target < len then
           Term (fun ln k ->
               mc.(n) <- mc.(n) + k;
@@ -672,7 +641,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
               !j)
     | Comib { cond; imm; a; target; n = _ } ->
         let ra = rf.(ri a) and imm = iu imm in
-        let f = cond_fn cond in
+        let f = Engine.cond_fn cond in
         if target >= 0 && target < len then
           Term (fun ln k ->
               mc.(n) <- mc.(n) + k;
@@ -703,7 +672,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
               !j)
     | Addib { cond; imm; a; target; n = _ } ->
         let ra = rf.(ri a) and raw = rf.(wi a) and imm = iu imm in
-        let f = cond_fn cond in
+        let f = Engine.cond_fn cond in
         if target >= 0 && target < len then
           Term (fun ln k ->
               mc.(n) <- mc.(n) + k;

@@ -266,72 +266,27 @@ let verify em =
           Error
             (Format.asprintf "@[<v>%a@]" Hppa_verify.Findings.pp_list findings))
 
-(* [words], the encoding of the [n] instructions [fetch] gives from
-   address 0, checked to decode back to them. *)
-let decodes_to n fetch words =
-  match Encode.decode_program words with
-  | Error e -> Error ("decode: " ^ e)
-  | Ok insns ->
-      let rec same i = i = n || (insns.(i) = fetch i && same (i + 1)) in
-      if same 0 then Ok words else Error "encode/decode round-trip mismatch"
-
-let round_trip code =
-  Result.bind (Encode.encode_code code)
-    (decodes_to (Array.length code) (Array.get code))
-
-let round_trip_image prog =
-  Result.bind (Encode.encode_program prog)
-    (decodes_to (Program.length prog) (Program.insn prog))
-
-let encoded em = Result.bind (link em) round_trip_image
-
-let le_bytes words =
-  let b = Bytes.create (4 * Array.length words) in
-  Array.iteri (fun i w -> Bytes.set_int32_le b (i * 4) w) words;
-  Bytes.unsafe_to_string b
-
-(* The encoded words of each dependency unit (a library an emission
-   links after its own code), encoded and round-trip-checked once per
-   process. Every branch and address encoding is PC-relative, so a
-   unit's words are the same wherever it sits in a linked image. The
-   unit itself comes from [Program.library]'s table; this keeps only its
-   words, keyed like that table by the unit's source by identity, at
-   most [dep_unit_cap] of them, under a lock: shard domains digest
-   concurrently. *)
-let dep_unit_cap = 8
-
-let dep_unit =
-  let lock = Mutex.create () and words = ref [] in
-  fun src ->
-    Result.bind (Program.library src) (fun lib ->
-        Mutex.protect lock (fun () ->
-            match List.assq_opt src !words with
-            | Some w -> Ok (lib, w)
-            | None ->
-                Result.map
-                  (fun w ->
-                    let w = le_bytes w in
-                    words :=
-                      (src, w)
-                      :: List.filteri (fun i _ -> i < dep_unit_cap - 1) !words;
-                    (lib, w))
-                  (round_trip_image (Program.library_image lib))))
+let encoded em =
+  Result.bind (link em) (fun prog ->
+      Encode.round_trip (Program.length prog) (Program.insn prog))
 
 let digest em =
   let ( let* ) = Result.bind in
   let* units =
     List.fold_right
       (fun src rest ->
-        let* u = dep_unit src in
+        let* lib = Program.library src in
+        let* w = Program.library_words lib in
         let* rest = rest in
-        Ok (u :: rest))
+        Ok ((lib, w) :: rest))
       em.deps (Ok [])
   in
   let* code = Program.resolve_before em.source (List.map fst units) in
-  let* words = round_trip code in
+  let* words = Encode.round_trip (Array.length code) (Array.get code) in
   Ok
     (Digest.to_hex
-       (Digest.string (String.concat "" (le_bytes words :: List.map snd units))))
+       (Digest.string
+          (String.concat "" (Encode.le_bytes words :: List.map snd units))))
 
 (* ------------------------------------------------------------------ *)
 (* Strategies                                                          *)
@@ -953,11 +908,6 @@ let certificate_of = function
   | Reciprocal.Refuted m -> Error ("refuted: " ^ m)
   | Reciprocal.Unknown m -> Error m
 
-(* The trusted image the body-equivalence certifier compares against:
-   the canonical millicode library, whose W64 routines the differential
-   suite pins on all three engines. *)
-let canonical () = Program.library_image (Millicode.library ())
-
 let certify req em =
   match link em with
   | Error e -> Error ("link: " ^ e)
@@ -965,8 +915,8 @@ let certify req em =
       match em.detail with
       | Millicode target ->
           certificate_of
-            (Hppa_verify.Driver.certify_body ~canonical:(canonical ())
-               prog ~entry:target)
+            (Hppa_verify.Driver.certify_body
+               ~canonical:(Millicode.library ()) prog ~entry:target)
       | Mul_plan _ | Div_plan _ | Pair_chain _ ->
           Error "no certifier covers this W64 emission")
   | Ok prog -> (

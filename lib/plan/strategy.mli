@@ -165,14 +165,15 @@ val verify : emission -> (unit, string) result
     lint-clean. *)
 
 val encoded : emission -> (int32 array, string) result
-(** Binary encoding of the linked program, checked to round-trip through
-    {!Hppa_isa.Encode.decode_program}. *)
+(** Binary encoding of the linked program, checked to round-trip
+    ({!Hppa_isa.Encode.round_trip}). *)
 
 val digest : emission -> (string, string) result
 (** Content address: MD5 hex of the encoded binary — the bytes of
     {!encoded}, with the same errors when each of [deps] resolves on its
-    own. Each dependency source is encoded and checked once per process,
-    so a call encodes only the emission's own instructions. *)
+    own. A dependency's words are its library's
+    {!Program.library_words}, encoded and checked once per process, so
+    a call encodes only the emission's own instructions. *)
 
 val certify : request -> emission -> (Hppa_verify.Certificate.t, string) result
 (** Discharge the proof obligation matching the emission's shape:
@@ -183,8 +184,8 @@ val certify : request -> emission -> (Hppa_verify.Certificate.t, string) result
     through the divide-step schema matcher on the millicode target, the
     small-divisor dispatchers through the vectored-dispatch totality
     proof, and every W64 millicode emission through the body-equivalence
-    certifier ({!Hppa_verify.Equiv}) against the canonical millicode
-    image. [Error] carries the refutation or the reason the emission is
+    certifier ({!Hppa_verify.Equiv}) against the millicode library
+    ([Millicode.library ()]). [Error] carries the refutation or the reason the emission is
     outside every certifier's domain (e.g. the variable multiply
     ladder, or a W64 {!Pair_chain} — under certified-only selection the
     millicode call-through wins for those requests). *)

@@ -59,7 +59,7 @@ let make ?(specs = []) opts prog =
     | Bl _ ->
         mark (match opts.mode with Simple -> addr + 1 | Delay_slot -> addr + 2)
     | _ -> ());
-    if Delay.is_nullifier i then mark (addr + 2)
+    if Insn.is_nullifier i then mark (addr + 2)
   done;
   { opts; prog; specs = List.map (fun s -> (s.name, s)) specs; entry_addrs; jumped_into }
 
@@ -161,7 +161,7 @@ let succs_insn t addr (i : int Insn.t) : edge list =
       if is_return_bv x base then taken t addr n Exit else [ Indirect ]
   | Break _ -> [ Trap ]
   | _ ->
-      if Delay.is_nullifier i then
+      if Insn.is_nullifier i then
         (* may annul the next instruction: fall through to it, or skip it *)
         [ step_to t (addr + 1); step_to t (addr + 2) ]
       else [ step_to t (addr + 1) ]

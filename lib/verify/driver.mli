@@ -47,13 +47,14 @@ val certify_division :
     to {!Divstep.certify}. [Unknown] if the label is absent. *)
 
 val certify_body :
-  canonical:Program.resolved -> Program.resolved -> entry:string ->
+  canonical:Program.library -> Program.resolved -> entry:string ->
   Reciprocal.verdict
 (** {!Equiv.certify}: the routine [entry] in the candidate image is
-    instruction-for-instruction the canonical library routine — the
-    certificate the W64 family carries, since its correctness rests on
-    the differential suite pinning the canonical body rather than on a
-    closed algebraic form. *)
+    instruction-for-instruction the routine of the same name in the
+    [canonical] library's image — the certificate the W64 family
+    carries, since its correctness rests on the differential suite
+    pinning the canonical body rather than on a closed algebraic form.
+    The type admits only a recorded library as the trusted side. *)
 
 val certify_divstep :
   ?options:Cfg.options -> Program.resolved -> entry:string ->

@@ -18,81 +18,17 @@ let no_fallthrough : int Insn.t -> bool = function
   | Insn.B _ | Insn.Bv _ | Insn.Blr _ | Insn.Break _ -> true
   | _ -> false
 
-(* [Some 2^len] when the instruction before the [blr] at [addr] is a
-   plain unconditional unsigned extract into the index register — the
-   only vectored-table shape whose index the walk can bound. *)
-let bounded_index img addr x =
-  if addr <= 0 || addr > Program.length img then None
-  else
-    match Program.insn img (addr - 1) with
-    | Insn.Extr { signed = false; r = _; pos = _; len; t; cond = Cond.Never }
-      when Reg.equal t x && len >= 1 && len <= 8 ->
-        Some (1 lsl len)
-    | _ -> None
-
-(* The bounded-index argument needs the [extru] to dominate its [blr]:
-   control must only arrive at the branch by falling through the
-   extract. [marks img] answers that per address by marking everything
-   control can reach some other way — labels, branch targets,
-   call-return points, vectored-table slots (the whole image tail for a
-   table the certifier cannot bound) and nullifier skips — mirroring
-   the marking in {!Cfg.make}. *)
-let marks img =
-  let n = Program.length img in
-  let marks = Bytes.make n '\000' in
-  let mark a = if a >= 0 && a < n then Bytes.set marks a '\001' in
-  Program.iter_symbols (fun _ a -> mark a) img;
-  for addr = 0 to n - 1 do
-    let i = Program.insn img addr in
-    (match Insn.target i with Some a -> mark a | None -> ());
-    (match (i : int Insn.t) with
-    | Insn.Blr { x; _ } ->
-        let slots =
-          match bounded_index img addr x with
-          | Some k -> k
-          | None -> ((n - addr) / 2) + 1
-        in
-        for k = 0 to slots - 1 do
-          mark (addr + 1 + (2 * k))
-        done
-    | Insn.Bl _ -> mark (addr + 1)
-    | _ -> ());
-    if Delay.is_nullifier i then mark (addr + 2)
-  done;
-  marks
-
-(* The marks of the canonical images certified against, computed once
-   per image: images are immutable, so they are keyed by identity. At
-   most [marks_cap] are kept, under a lock: shard domains certify
-   concurrently. *)
-let marks_cap = 8
-
-let memo_marks =
-  let lock = Mutex.create () and memo = ref [] in
-  fun img ->
-    Mutex.protect lock (fun () ->
-        match List.assq_opt img !memo with
-        | Some m -> m
-        | None ->
-            let m = marks img in
-            memo := (img, m) :: List.filteri (fun i _ -> i < marks_cap - 1) !memo;
-            m)
-
-let fall_through_only img =
-  let marks = memo_marks img in
-  fun a -> a >= 0 && a < Bytes.length marks && Bytes.get marks a = '\000'
-
 let is_return = function
   | Insn.Bv { x; base; n = _ } ->
       Reg.equal x Reg.r0 && (Reg.equal base Reg.rp || Reg.equal base Reg.mrp)
   | _ -> false
 
-let certify ~canonical ~entry prog =
+let certify ~canonical:lib ~entry prog =
+  let canonical = Program.library_image lib in
   match (Program.symbol canonical entry, Program.symbol prog entry) with
   | None, _ -> Reciprocal.Unknown (Printf.sprintf "no canonical label %S" entry)
   | _, None -> Reciprocal.Unknown (Printf.sprintf "no label %S" entry)
   | Some c0, Some p0 -> (
-      let dominated = fall_through_only canonical in
       let nc = Program.length canonical and np = Program.length prog in
       (* Every canonical address the walk pairs is below [nc + 2^9]:
          targets and fall-through reach at most [nc], the slots of a
@@ -140,14 +76,14 @@ let certify ~canonical ~entry prog =
                            (Insn.mnemonic ip) (Insn.mnemonic ic))));
               (match ic with
               | Insn.Blr { x; n = false; t = _ }
-                when bounded_index canonical c x <> None
-                     && dominated c ->
+                when Program.table_bound canonical c x <> None
+                     && Program.fall_through_only lib c ->
                   (* A bounded vectored table: the adjacent extract
                      dominates the branch, so the index — equal in
                      both executions by the lockstep induction — is
                      below [2^len] and every slot can be paired. *)
                   let slots =
-                    Option.get (bounded_index canonical c x)
+                    Option.get (Program.table_bound canonical c x)
                   in
                   for k = 0 to slots - 1 do
                     pair (c + 1 + (2 * k)) (p + 1 + (2 * k))

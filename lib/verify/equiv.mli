@@ -16,10 +16,15 @@
     like an ordinary branch target. The walk stops short ([Unknown]) at
     anything else whose successors it cannot bound: an indirect branch
     that is not a return, an unbounded [BLR] table, or a materialized
-    code address. *)
+    code address.
+
+    The trusted side is a recorded {!Program.library}: the walk reads
+    its image, and the dominance test reads the library's
+    fall-through marks ({!Program.fall_through_only}), computed once per
+    library. *)
 
 val certify :
-  canonical:Program.resolved ->
+  canonical:Program.library ->
   entry:string ->
   Program.resolved ->
   Reciprocal.verdict

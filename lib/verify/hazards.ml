@@ -38,7 +38,7 @@ let check cfg =
               emit
                 (err (addr + 1) "branch %s in the delay slot of %s"
                    (Insn.mnemonic slot) (Insn.mnemonic i));
-            if Delay.is_nullifier slot then
+            if Insn.is_nullifier slot then
               emit
                 (err (addr + 1)
                    "nullifying %s in the delay slot of %s would annul the \
@@ -48,7 +48,7 @@ let check cfg =
                 (err (addr + 1)
                    "%s may trap inside the delay slot of %s, reporting the \
                     wrong PC" (Insn.mnemonic slot) (Insn.mnemonic i));
-            if addr > 0 && Delay.is_nullifier (insn (addr - 1)) then
+            if addr > 0 && Insn.is_nullifier (insn (addr - 1)) then
               emit
                 (err addr
                    "filled branch %s sits in the shadow of nullifying %s: \

@@ -483,9 +483,10 @@ let test_concurrent_plans () =
         (List.combine sequential (List.combine forward backward)))
     rounds
 
-(* Body-equivalence certification forces the canonical library image;
-   two domains doing so at once must both succeed. This suite runs
-   first, so the image is still unbuilt when the two domains start. *)
+(* Body-equivalence certification forces the canonical library image
+   and its fall-through marks; two domains doing so at once must both
+   succeed. This suite runs first, so neither is built when the two
+   domains start. *)
 let test_concurrent_w64_certify () =
   let requests =
     [
@@ -507,6 +508,50 @@ let test_concurrent_w64_certify () =
   in
   let a, b = in_two_domains certify certify in
   Alcotest.(check (list string)) "same certificates" a b
+
+(* A digest reads each dependency library's encoded words, computed on
+   first use. This suite runs first, so no library's words are computed
+   yet when two domains digest at once a millicode call-through and a
+   divide by a constant that tail-calls [Div_gen]'s divide, in opposite
+   orders. Both must get the digests a later sequential pass gives. *)
+let test_concurrent_digest () =
+  let emit name req =
+    match Strategy.find name with
+    | None -> Alcotest.failf "no strategy %s" name
+    | Some s -> (
+        match s.Strategy.emit req with
+        | Ok em -> em
+        | Error e -> Alcotest.failf "%s: %s" name e)
+  in
+  let depends_on lib (em : Strategy.emission) =
+    match em.Strategy.deps with [ d ] -> d == lib | _ -> false
+  in
+  let millicode = emit "mul_millicode" (Strategy.mul_var ()) in
+  let fallback =
+    let rec find c =
+      if c > 1000 then Alcotest.fail "no divisor below 1000 tail-calls divU"
+      else
+        let req = Strategy.div_const Strategy.Unsigned (Int32.of_int c) in
+        let em = emit "div_const" req in
+        if depends_on Div_gen.source em then em else find (c + 1)
+    in
+    find 3
+  in
+  Alcotest.(check bool) "millicode dependency" true
+    (depends_on Millicode.source millicode);
+  let digest em =
+    match Strategy.digest em with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "digest: %s" e
+  in
+  let a, b =
+    in_two_domains
+      (fun () -> List.map digest [ millicode; fallback ])
+      (fun () -> List.rev_map digest [ fallback; millicode ])
+  in
+  let sequential = List.map digest [ millicode; fallback ] in
+  Alcotest.(check (list string)) "first domain" sequential a;
+  Alcotest.(check (list string)) "second domain" sequential b
 
 (* ------------------------------------------------------------------ *)
 (* Bounded per-domain caches                                           *)
@@ -567,6 +612,8 @@ let suite =
       [
         Alcotest.test_case "concurrent W64 certification" `Quick
           test_concurrent_w64_certify;
+        Alcotest.test_case "two domains digest like one" `Quick
+          test_concurrent_digest;
         Alcotest.test_case "two domains plan like one" `Quick
           test_concurrent_plans;
       ] );

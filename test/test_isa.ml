@@ -212,7 +212,7 @@ let prop_encode_roundtrip =
       match Program.resolve (wrap insns) with
       | Error _ -> false
       | Ok p -> (
-          match Encode.encode_program p with
+          match Encode.encode_fetch (Program.length p) (Program.insn p) with
           | Error msg -> QCheck.Test.fail_reportf "encode failed: %s" msg
           | Ok words -> (
               match Encode.decode_program words with
@@ -497,6 +497,53 @@ let test_links_share_library () =
 (* A link allocates for its head only: nothing library-sized, so
    nothing in the major heap. [Gc.counters]' major count is current;
    [Gc.quick_stat]'s lags until the next minor collection on OCaml 5. *)
+(* A recorded library carries its encoded words and its fall-through
+   marks: the words are the image's encoding as little-endian bytes,
+   the marks are clear at every address a label or a branch reaches, and
+   each is computed once: a second read is the same value. *)
+let test_library_record () =
+  List.iter
+    (fun (name, src) ->
+      let lib = recorded src in
+      let img = Program.library_image lib in
+      let n = Program.length img in
+      let expected =
+        match Encode.encode_fetch n (Program.insn img) with
+        | Error e -> Alcotest.failf "%s: encode: %s" name e
+        | Ok words -> (
+            match Encode.decode_program words with
+            | Error e -> Alcotest.failf "%s: decode: %s" name e
+            | Ok insns ->
+                Alcotest.(check bool) (name ^ ": decodes back") true
+                  (Array.for_all2 (Insn.equal Int.equal) (Program.code img) insns);
+                let b = Bytes.create (4 * n) in
+                Array.iteri (fun i w -> Bytes.set_int32_le b (4 * i) w) words;
+                Bytes.to_string b)
+      in
+      (match Program.library_words lib with
+      | Ok w -> Alcotest.(check string) (name ^ ": words") expected w
+      | Error e -> Alcotest.failf "%s: words: %s" name e);
+      Alcotest.(check bool) (name ^ ": words read once") true
+        (Program.library_words lib == Program.library_words lib);
+      Alcotest.(check bool) (name ^ ": a second library call") true
+        (Program.library_words (recorded src) == Program.library_words lib);
+      let reached = Array.make n false in
+      Program.iter_symbols (fun _ a -> reached.(a) <- true) img;
+      for a = 0 to n - 1 do
+        Option.iter (fun t -> if t < n then reached.(t) <- true)
+          (Insn.target (Program.insn img a))
+      done;
+      Array.iteri
+        (fun a r ->
+          if r && Program.fall_through_only lib a then
+            Alcotest.failf "%s: +%d is reached, not only by fall-through" name a)
+        reached;
+      Alcotest.(check bool) (name ^ ": some address is fall-through only") true
+        (List.exists (Program.fall_through_only lib) (List.init n Fun.id));
+      Alcotest.(check bool) (name ^ ": outside the image") false
+        (Program.fall_through_only lib (-1) || Program.fall_through_only lib n))
+    [ ("millicode", Hppa.Millicode.source); ("div_gen", Hppa.Div_gen.source) ]
+
 let test_link_allocation () =
   let head = [ Program.Label "main"; Program.Insn (Emit.b "divU"); Program.Insn Insn.Nop ] in
   let link () = Program.resolve_exn (Program.concat [ head; Hppa.Millicode.source ]) in
@@ -609,7 +656,7 @@ let test_branch_displacement_limit () =
        @ [ Program.Label "bottom"; Program.Insn Emit.nop ])
   in
   let p = Program.resolve_exn far in
-  match Encode.encode_program p with
+  match Encode.encode_fetch (Program.length p) (Program.insn p) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "over-range displacement encoded"
 
@@ -628,7 +675,7 @@ let prop_decode_total =
    round-trips through the binary codec. *)
 let test_millicode_encodes () =
   let prog = Hppa.Millicode.resolved () in
-  match Encode.encode_program prog with
+  match Encode.encode_fetch (Program.length prog) (Program.insn prog) with
   | Error msg -> Alcotest.failf "millicode failed to encode: %s" msg
   | Ok words -> (
       match Encode.decode_program words with
@@ -699,6 +746,8 @@ let suite =
         Alcotest.test_case "spliced library = whole pass" `Quick test_splice;
         Alcotest.test_case "images are never shared" `Quick test_image_isolation;
         Alcotest.test_case "links share the library" `Quick test_links_share_library;
+        Alcotest.test_case "a library carries its words and marks" `Quick
+          test_library_record;
         Alcotest.test_case "a link allocates nothing major" `Quick test_link_allocation;
         Alcotest.test_case "concat keeps the last unit" `Quick test_concat;
         Alcotest.test_case "validate ranges" `Quick test_validate_ranges;

@@ -1,6 +1,6 @@
 (* Test entry point: every suite from every library. The descent suite
-   goes first: its concurrent-certification test needs the canonical
-   millicode image still unbuilt. *)
+   goes first: its concurrent certification and digest tests need the
+   millicode library still unbuilt, and its marks and words uncomputed. *)
 
 let () =
   Alcotest.run "hppa"

@@ -508,7 +508,7 @@ let w64_entries = [ "mulU128"; "mulI128"; "divU64w"; "divI64w"; "remU64w"; "remI
    every target, which the walk's offset map must absorb. The walk also
    transits mul_final's vectored case table. *)
 let test_body_equiv_certified () =
-  let canonical = Millicode.resolved () in
+  let canonical = Millicode.library () in
   let shifted =
     Program.resolve_exn
       (Program.concat
@@ -535,8 +535,10 @@ let test_body_equiv_certified () =
    corrupted source: the library with a [break 31] two instructions
    into [mulU128] (31 is the largest code {!Insn.validate} accepts). *)
 let test_body_equiv_refuted () =
-  let canonical = Millicode.resolved () in
-  let addr = Program.symbol_exn canonical "mulU128" + 2 in
+  let canonical = Millicode.library () in
+  let addr =
+    Program.symbol_exn (Program.library_image canonical) "mulU128" + 2
+  in
   let spoiled = Insn.Break { code = 31 } in
   let src =
     snd
@@ -556,7 +558,7 @@ let test_body_equiv_refuted () =
   | v -> Alcotest.failf "corrupted image: %a" V.Reciprocal.pp_verdict v
 
 let test_body_equiv_unknown_entry () =
-  let canonical = Millicode.resolved () in
+  let canonical = Millicode.library () in
   match
     V.Driver.certify_body ~canonical (Millicode.resolved ())
       ~entry:"no_such_entry"
