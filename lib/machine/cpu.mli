@@ -77,9 +77,5 @@ val set_trace : t -> (int -> int Insn.t -> unit) option -> unit
 val set_icache : t -> Icache.t option -> unit
 val icache : t -> Icache.t option
 
-val divide_step : t -> int32 -> int32 -> int32
-(** One [DS] step against the machine's C/V state; exposed for the engine,
-    which reuses the reference implementation verbatim. *)
-
 val step : t -> (unit, Trap.t) result
 val run : ?fuel:int -> t -> outcome

@@ -4,8 +4,11 @@
     chained as basic-block superblocks, and returns a run function that
     is observationally identical to {!Cpu.run} — same registers, PSW
     C/V, memory, traps, PC and {!Stats} totals — on the modes it
-    supports. {!Machine.run} selects it transparently and falls back to
-    the reference interpreter otherwise. *)
+    supports. Each closure is {!Sem}'s statement of its instruction form
+    specialised to one register file; a trap raises out of the block
+    and a terminator returns the next PC. {!Machine.run} selects it
+    transparently and falls back to the reference interpreter
+    otherwise. *)
 
 val make : Cpu.t -> int -> Cpu.outcome
 (** [make cpu] translates [cpu]'s program; [make cpu fuel] then runs
@@ -18,13 +21,3 @@ val make : Cpu.t -> int -> Cpu.outcome
     default branch model (no delay slots), has no trace hook or icache
     attached, is not halted, has no pending transfer, and [cpu.pc] is
     inside the program image. *)
-
-(** The translation-time helpers {!Engine_batch} shares: *)
-
-val cond_fn : Cond.t -> int -> int -> bool
-(** [Cond.eval] on the unsigned-int register representation: the
-    returned closure is monomorphic on ints and allocation-free. *)
-
-val intern_mnemonics : int Insn.t array -> int array * string array
-(** Each instruction's dense mnemonic id, and each id's mnemonic:
-    closures count executions into an int array by id. *)

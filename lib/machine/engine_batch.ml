@@ -6,13 +6,15 @@
    dominates the arithmetic. This engine translates the program once
    into closures that each execute one instruction for a whole *cohort*
    of lanes, so the closure call, the mnemonic bookkeeping and the
-   branch-target checks are paid once per instruction per batch.
+   branch-target checks are paid once per instruction per batch. Each
+   lane loop's body is {!Sem}'s statement of the form, applied to one
+   register's lane array and a lane.
 
    Layout: register state is one unboxed [int array] per architectural
    register ([rf.(reg).(lane)]), carrying the same unsigned 32-bit
    representation as the scalar engine; slot 0 is the hardwired zero and
-   slot 32 the write sink for r0 targets. PSW bits, nullify flags, PCs,
-   fuel and cycle counters are parallel per-lane arrays. Per-lane memory
+   slot 32 the write sink for r0 targets. PSW records, nullify flags,
+   PCs, fuel and cycle counters are parallel per-lane arrays. Per-lane memory
    images are allocated only when the program actually loads or stores.
 
    Divergence: lanes are scheduled as min-PC cohorts. Each round the
@@ -25,29 +27,20 @@
 
    Traps and fuel are per-lane: a compiled closure records a trapping
    lane's [Trap.t] (PC left on the trapping instruction, the instruction
-   itself counted executed, like the scalar engine) and compacts it out
-   of the cohort so its neighbours proceed; fuel exhaustion and the halt
-   sentinel likewise retire single lanes. Statistics parity: per-lane
-   cycle counters match the scalar engine's cycle accounting lane for
-   lane, and the aggregate mnemonic histogram equals the sum of the
-   corresponding scalar runs. Instances are not thread-safe; give each
-   domain its own. *)
+   itself counted executed, like the scalar engine), and the closure's
+   rare path compacts it out of the cohort so its neighbours proceed;
+   fuel exhaustion and the halt sentinel likewise retire single lanes.
+   Cycles are charged once per dispatch: survivors the instructions
+   dispatched, retired lanes the instructions they ran. Statistics
+   parity: per-lane cycle counters match the scalar engine's cycle
+   accounting lane for lane, and the aggregate mnemonic histogram equals
+   the sum of the corresponding scalar runs. Instances are not
+   thread-safe; give each domain its own. *)
 
 module Word = Hppa_word.Word
 module Obs = Hppa_obs.Obs
 
-let u32 = 0xffff_ffff
-let sign = 0x8000_0000
-
-(* Unsigned representation -> signed value, as a native int. *)
-let sext v = (v lxor sign) - sign
-
-(* Lane status codes. *)
-let s_running = 0
-let s_halted = 1
-let s_fuel = 2
-let s_trapped = 3
-
+type status = Running | Halted | Out_of_fuel | Trapped
 type counters = { lanes_run : int; lanes_trapped : int; dispatches : int }
 
 type t = {
@@ -56,13 +49,12 @@ type t = {
   mem_words : int;
   rf : int array array;  (* 33 registers x lanes; .(0) zero, .(32) sink *)
   lmem : int array array;  (* lanes x mem_words, [||] when unused *)
-  lcarry : bool array;
-  lv : bool array;
+  lpsw : Sem.psw array;
   lnull : bool array;
   lpc : int array;
   lfuel : int array;  (* negative = infinite, like the scalar engine *)
   lcyc : int array;  (* cycles of the current/last run *)
-  lstatus : int array;
+  lstatus : status array;
   ltrap : Trap.t array;
   mutable width : int;  (* lanes active in the last call *)
   stats : Stats.t;
@@ -73,12 +65,9 @@ type t = {
 }
 
 (* A compiled instruction executes one opcode for lanes[0..k-1] and
-   returns the surviving count: trapping (or halting) lanes are recorded
-   and compacted out in place. [Body] never touches per-lane PCs — its
+   returns the surviving count. [Body] never touches per-lane PCs — its
    successor is implicit; [Term] writes each survivor's next PC. *)
-type compiled =
-  | Body of (int array -> int -> int)
-  | Term of (int array -> int -> int)
+type op = int array -> int -> int
 
 let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     (prog : Program.resolved) =
@@ -95,220 +84,163 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     if uses_mem then Array.init lanes (fun _ -> Array.make mem_words 0)
     else [||]
   in
-  let rf = Array.init 33 (fun _ -> Array.make lanes 0) in
-  let lcarry = Array.make lanes false in
-  let lv = Array.make lanes false in
+  let rf = Array.init (Sem.sink + 1) (fun _ -> Array.make lanes 0) in
+  let lpsw = Array.init lanes (fun _ -> { Sem.carry = false; v = false }) in
   let lnull = Array.make lanes false in
   let lpc = Array.make lanes 0 in
   let lfuel = Array.make lanes 0 in
   let lcyc = Array.make lanes 0 in
-  let lstatus = Array.make lanes s_halted in
+  let lstatus = Array.make lanes Halted in
   let ltrap = Array.make lanes (Trap.Break 0) in
   (* Interned mnemonics: closures count cohort sizes into a dense array. *)
-  let mid, names = Engine.intern_mnemonics code in
+  let mid, names = Sem.intern_mnemonics code in
   let mc = Array.make (max (Array.length names) 1) 0 in
   (* Per-run aggregates, reset by [go]. *)
   let nulls = ref 0 and taken = ref 0 and disp = ref 0 in
-  let trap l pcv tr =
-    lstatus.(l) <- s_trapped;
-    ltrap.(l) <- tr;
-    lpc.(l) <- pcv
+  (* [entry] is the PC the current dispatch started at; [retired] counts
+     lanes that trapped or halted in the running closure. *)
+  let entry = ref 0 and retired = ref 0 in
+  let retire l status pcv =
+    lstatus.(l) <- status;
+    lpc.(l) <- pcv;
+    incr retired
   in
-  let ri rg = Reg.to_int rg in
-  let wi rg = let i = Reg.to_int rg in if i = 0 then 32 else i in
-  let iu (imm : int32) = Int32.to_int imm land u32 in
-  let compile pc (insn : int Insn.t) : compiled =
+  let trap l pc tr =
+    ltrap.(l) <- tr;
+    retire l Trapped pc
+  in
+  (* The rare path after a closure in which some lane retired: drop the
+     retired lanes from the cohort, charging each the cycles it ran in
+     this dispatch (a trap counts its own instruction). *)
+  let compact ln k =
+    retired := 0;
+    let j = ref 0 in
+    for i = 0 to k - 1 do
+      let l = ln.(i) in
+      match lstatus.(l) with
+      | Running ->
+          ln.(!j) <- l;
+          incr j
+      | Trapped -> lcyc.(l) <- lcyc.(l) + lpc.(l) - !entry + 1
+      | Halted | Out_of_fuel -> lcyc.(l) <- lcyc.(l) + lpc.(l) - !entry
+    done;
+    !j
+  in
+  let[@inline] settle ln k = if !retired = 0 then k else compact ln k in
+  (* A taken branch; out of the image it traps without counting. *)
+  let[@inline] jump l pc target =
+    if Sem.in_image len target then begin
+      incr taken;
+      lpc.(l) <- target
+    end
+    else trap l pc (Trap.Bad_pc target)
+  in
+  let load_const n t x =
+    let rd = rf.(Sem.dst t) in
+    Sem.Body (fun ln k ->
+        mc.(n) <- mc.(n) + k;
+        for i = 0 to k - 1 do
+          rd.(ln.(i)) <- x
+        done;
+        k)
+  in
+  let compile pc : (op, op) Sem.compiled =
     let n = mid.(pc) in
-    match insn with
-    | Alu { op; a; b; t = d; trap_ov } -> (
-        let ra = rf.(ri a) and rb = rf.(ri b) and rd = rf.(wi d) in
+    let open Sem in
+    match code.(pc) with
+    | Alu { op; a; b; t; trap_ov } -> (
+        let ra = rf.(src a) and rb = rf.(src b) and rd = rf.(dst t) in
         match op with
+        | Add when trap_ov ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  if add ~trap:true ra.(l) rb.(l) rd l lpsw.(l) then
+                    trap l pc Trap.Overflow
+                done;
+                settle ln k)
         | Add ->
-            if trap_ov then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  let j = ref 0 in
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let av = ra.(l) and bv = rb.(l) in
-                    let w = av + bv in
-                    lcarry.(l) <- w > u32;
-                    lv.(l) <- false;
-                    let s = w land u32 in
-                    if
-                      (av lxor bv) land sign = 0
-                      && (av lxor s) land sign <> 0
-                    then trap l pc Trap.Overflow
-                    else begin
-                      rd.(l) <- s;
-                      ln.(!j) <- l;
-                      incr j
-                    end
-                  done;
-                  !j)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let w = ra.(l) + rb.(l) in
-                    lcarry.(l) <- w > u32;
-                    lv.(l) <- false;
-                    rd.(l) <- w land u32
-                  done;
-                  k)
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  ignore (add ~trap:false ra.(l) rb.(l) rd l lpsw.(l))
+                done;
+                k)
+        | Addc when trap_ov ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  if addc ~trap:true ra.(l) rb.(l) rd l lpsw.(l) then
+                    trap l pc Trap.Overflow
+                done;
+                settle ln k)
         | Addc ->
-            if trap_ov then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  let j = ref 0 in
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let av = ra.(l) and bv = rb.(l) in
-                    let ci = if lcarry.(l) then 1 else 0 in
-                    let w = av + bv + ci in
-                    lcarry.(l) <- w > u32;
-                    let wide = sext av + sext bv + ci in
-                    if wide < -0x8000_0000 || wide > 0x7fff_ffff then
-                      trap l pc Trap.Overflow
-                    else begin
-                      rd.(l) <- w land u32;
-                      ln.(!j) <- l;
-                      incr j
-                    end
-                  done;
-                  !j)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let w =
-                      ra.(l) + rb.(l) + (if lcarry.(l) then 1 else 0)
-                    in
-                    lcarry.(l) <- w > u32;
-                    rd.(l) <- w land u32
-                  done;
-                  k)
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  ignore (addc ~trap:false ra.(l) rb.(l) rd l lpsw.(l))
+                done;
+                k)
+        | Sub when trap_ov ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  if sub ~trap:true ra.(l) rb.(l) rd l lpsw.(l) then
+                    trap l pc Trap.Overflow
+                done;
+                settle ln k)
         | Sub ->
-            if trap_ov then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  let j = ref 0 in
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let av = ra.(l) and bv = rb.(l) in
-                    let w = av - bv in
-                    lcarry.(l) <- w >= 0;
-                    lv.(l) <- false;
-                    let dv = w land u32 in
-                    if
-                      (av lxor bv) land sign <> 0
-                      && (av lxor dv) land sign <> 0
-                    then trap l pc Trap.Overflow
-                    else begin
-                      rd.(l) <- dv;
-                      ln.(!j) <- l;
-                      incr j
-                    end
-                  done;
-                  !j)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let w = ra.(l) - rb.(l) in
-                    lcarry.(l) <- w >= 0;
-                    lv.(l) <- false;
-                    rd.(l) <- w land u32
-                  done;
-                  k)
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  ignore (sub ~trap:false ra.(l) rb.(l) rd l lpsw.(l))
+                done;
+                k)
+        | Subb when trap_ov ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  if subb ~trap:true ra.(l) rb.(l) rd l lpsw.(l) then
+                    trap l pc Trap.Overflow
+                done;
+                settle ln k)
         | Subb ->
-            if trap_ov then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  let j = ref 0 in
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let av = ra.(l) and bv = rb.(l) in
-                    let bw = if lcarry.(l) then 0 else 1 in
-                    let w = av - bv - bw in
-                    lcarry.(l) <- w >= 0;
-                    let wide = sext av - sext bv - bw in
-                    if wide < -0x8000_0000 || wide > 0x7fff_ffff then
-                      trap l pc Trap.Overflow
-                    else begin
-                      rd.(l) <- w land u32;
-                      ln.(!j) <- l;
-                      incr j
-                    end
-                  done;
-                  !j)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let w =
-                      ra.(l) - rb.(l) - (if lcarry.(l) then 0 else 1)
-                    in
-                    lcarry.(l) <- w >= 0;
-                    rd.(l) <- w land u32
-                  done;
-                  k)
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  ignore (subb ~trap:false ra.(l) rb.(l) rd l lpsw.(l))
+                done;
+                k)
+        | Shadd sh when trap_ov ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  if shadd ~trap:true sh ra.(l) rb.(l) rd l lpsw.(l) then
+                    trap l pc Trap.Overflow
+                done;
+                settle ln k)
         | Shadd sh ->
-            if trap_ov then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  let j = ref 0 in
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let av = ra.(l) and bv = rb.(l) in
-                    let shifted = (av lsl sh) land u32 in
-                    let w = shifted + bv in
-                    lcarry.(l) <- w > u32;
-                    let top = sext av asr (31 - sh) in
-                    let shift_ok = top = 0 || top = -1 in
-                    let s = w land u32 in
-                    let add_ov =
-                      (shifted lxor bv) land sign = 0
-                      && (shifted lxor s) land sign <> 0
-                    in
-                    if (not shift_ok) || add_ov then trap l pc Trap.Overflow
-                    else begin
-                      rd.(l) <- s;
-                      ln.(!j) <- l;
-                      incr j
-                    end
-                  done;
-                  !j)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let w = ((ra.(l) lsl sh) land u32) + rb.(l) in
-                    lcarry.(l) <- w > u32;
-                    rd.(l) <- w land u32
-                  done;
-                  k)
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  ignore (shadd ~trap:false sh ra.(l) rb.(l) rd l lpsw.(l))
+                done;
+                k)
         | And ->
             Body (fun ln k ->
                 mc.(n) <- mc.(n) + k;
                 for i = 0 to k - 1 do
                   let l = ln.(i) in
-                  lcyc.(l) <- lcyc.(l) + 1;
                   rd.(l) <- ra.(l) land rb.(l)
                 done;
                 k)
@@ -317,7 +249,6 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
                 mc.(n) <- mc.(n) + k;
                 for i = 0 to k - 1 do
                   let l = ln.(i) in
-                  lcyc.(l) <- lcyc.(l) + 1;
                   rd.(l) <- ra.(l) lor rb.(l)
                 done;
                 k)
@@ -326,7 +257,6 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
                 mc.(n) <- mc.(n) + k;
                 for i = 0 to k - 1 do
                   let l = ln.(i) in
-                  lcyc.(l) <- lcyc.(l) + 1;
                   rd.(l) <- ra.(l) lxor rb.(l)
                 done;
                 k)
@@ -335,521 +265,271 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
                 mc.(n) <- mc.(n) + k;
                 for i = 0 to k - 1 do
                   let l = ln.(i) in
-                  lcyc.(l) <- lcyc.(l) + 1;
-                  rd.(l) <- ra.(l) land lnot rb.(l) land u32
+                  rd.(l) <- andcm ra.(l) rb.(l)
                 done;
                 k))
-    | Ds { a; b; t = d } ->
-        let ra = rf.(ri a) and rb = rf.(ri b) and rd = rf.(wi d) in
+    | Ds { a; b; t } ->
+        let ra = rf.(src a) and rb = rf.(src b) and rd = rf.(dst t) in
         Body (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              let vb = lv.(l) in
-              let rr = ra.(l) - (if vb then 0x1_0000_0000 else 0) in
-              let r2 = (2 * rr) + (if lcarry.(l) then 1 else 0) in
-              let r' = if vb then r2 + rb.(l) else r2 - rb.(l) in
-              lv.(l) <- r' < 0;
-              lcarry.(l) <- r' >= 0;
-              rd.(l) <- r' land u32
+              ds ra.(l) rb.(l) rd l lpsw.(l)
             done;
             k)
-    | Addi { imm; a; t = d; trap_ov } ->
-        let ra = rf.(ri a) and rd = rf.(wi d) and imm = iu imm in
+    | Addi { imm = x; a; t; trap_ov } ->
+        let ra = rf.(src a) and rd = rf.(dst t) and x = imm x in
         if trap_ov then
           Body (fun ln k ->
               mc.(n) <- mc.(n) + k;
-              let j = ref 0 in
               for i = 0 to k - 1 do
                 let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                let av = ra.(l) in
-                let w = av + imm in
-                lcarry.(l) <- w > u32;
-                lv.(l) <- false;
-                let s = w land u32 in
-                if (av lxor imm) land sign = 0 && (av lxor s) land sign <> 0
-                then trap l pc Trap.Overflow
-                else begin
-                  rd.(l) <- s;
-                  ln.(!j) <- l;
-                  incr j
-                end
+                if add ~trap:true ra.(l) x rd l lpsw.(l) then
+                  trap l pc Trap.Overflow
               done;
-              !j)
+              settle ln k)
         else
           Body (fun ln k ->
               mc.(n) <- mc.(n) + k;
               for i = 0 to k - 1 do
                 let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                let w = ra.(l) + imm in
-                lcarry.(l) <- w > u32;
-                lv.(l) <- false;
-                rd.(l) <- w land u32
+                ignore (add ~trap:false ra.(l) x rd l lpsw.(l))
               done;
               k)
-    | Subi { imm; a; t = d; trap_ov } ->
-        (* SUBI computes imm - a: the immediate is the left operand. *)
-        let ra = rf.(ri a) and rd = rf.(wi d) and imm = iu imm in
+    | Subi { imm = x; a; t; trap_ov } ->
+        let ra = rf.(src a) and rd = rf.(dst t) and x = imm x in
         if trap_ov then
           Body (fun ln k ->
               mc.(n) <- mc.(n) + k;
-              let j = ref 0 in
               for i = 0 to k - 1 do
                 let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                let av = ra.(l) in
-                let w = imm - av in
-                lcarry.(l) <- w >= 0;
-                lv.(l) <- false;
-                let dv = w land u32 in
-                if (imm lxor av) land sign <> 0 && (imm lxor dv) land sign <> 0
-                then trap l pc Trap.Overflow
-                else begin
-                  rd.(l) <- dv;
-                  ln.(!j) <- l;
-                  incr j
-                end
+                if sub ~trap:true x ra.(l) rd l lpsw.(l) then
+                  trap l pc Trap.Overflow
               done;
-              !j)
+              settle ln k)
         else
           Body (fun ln k ->
               mc.(n) <- mc.(n) + k;
               for i = 0 to k - 1 do
                 let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                let w = imm - ra.(l) in
-                lcarry.(l) <- w >= 0;
-                lv.(l) <- false;
-                rd.(l) <- w land u32
+                ignore (sub ~trap:false x ra.(l) rd l lpsw.(l))
               done;
               k)
-    | Comclr { cond; a; b; t = d } ->
-        let ra = rf.(ri a) and rb = rf.(ri b) and rd = rf.(wi d) in
-        let f = Engine.cond_fn cond in
+    | Comclr { cond; a; b; t } ->
+        let ra = rf.(src a) and rb = rf.(src b) and rd = rf.(dst t) in
+        let f = cond_fn cond in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              if f ra.(l) rb.(l) then lnull.(l) <- true;
-              rd.(l) <- 0;
+              if comclr f ra.(l) rb.(l) rd l then lnull.(l) <- true;
               lpc.(l) <- pc + 1
             done;
             k)
-    | Comiclr { cond; imm; a; t = d } ->
-        let ra = rf.(ri a) and rd = rf.(wi d) and imm = iu imm in
-        let f = Engine.cond_fn cond in
+    | Comiclr { cond; imm = x; a; t } ->
+        let ra = rf.(src a) and rd = rf.(dst t) and x = imm x in
+        let f = cond_fn cond in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              if f imm ra.(l) then lnull.(l) <- true;
-              rd.(l) <- 0;
+              if comclr f x ra.(l) rd l then lnull.(l) <- true;
               lpc.(l) <- pc + 1
             done;
             k)
-    | Extr { signed; r = src; pos; len = flen; t = d; cond } -> (
-        let rs = rf.(ri src) and rd = rf.(wi d) in
-        let sl = 32 - pos - flen and sr = 32 - flen in
-        let mask = (1 lsl flen) - 1 in
-        match cond with
-        | Never ->
-            if signed then
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    rd.(l) <- sext ((rs.(l) lsl sl) land u32) asr sr land u32
-                  done;
-                  k)
-            else
-              Body (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    rd.(l) <- (rs.(l) lsr pos) land mask
-                  done;
-                  k)
-        | _ ->
-            let f = Engine.cond_fn cond in
-            if signed then
-              Term (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let v = sext ((rs.(l) lsl sl) land u32) asr sr land u32 in
-                    if f v 0 then lnull.(l) <- true;
-                    rd.(l) <- v;
-                    lpc.(l) <- pc + 1
-                  done;
-                  k)
-            else
-              Term (fun ln k ->
-                  mc.(n) <- mc.(n) + k;
-                  for i = 0 to k - 1 do
-                    let l = ln.(i) in
-                    lcyc.(l) <- lcyc.(l) + 1;
-                    let v = (rs.(l) lsr pos) land mask in
-                    if f v 0 then lnull.(l) <- true;
-                    rd.(l) <- v;
-                    lpc.(l) <- pc + 1
-                  done;
-                  k))
-    | Zdep { r = src; pos; len = flen; t = d } ->
-        let rs = rf.(ri src) and rd = rf.(wi d) in
-        let mask = (1 lsl flen) - 1 in
+    | Extr { signed; r = s; pos; len; t; cond } -> (
+        let rs = rf.(src s) and rd = rf.(dst t) and f = cond_fn cond in
+        match (cond, signed) with
+        | Never, true ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  rd.(l) <- extrs ~pos ~len rs.(l)
+                done;
+                k)
+        | Never, false ->
+            Body (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  rd.(l) <- extru ~pos ~len rs.(l)
+                done;
+                k)
+        | _, true ->
+            Term (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  let x = extrs ~pos ~len rs.(l) in
+                  rd.(l) <- x;
+                  if f x 0 then lnull.(l) <- true;
+                  lpc.(l) <- pc + 1
+                done;
+                k)
+        | _, false ->
+            Term (fun ln k ->
+                mc.(n) <- mc.(n) + k;
+                for i = 0 to k - 1 do
+                  let l = ln.(i) in
+                  let x = extru ~pos ~len rs.(l) in
+                  rd.(l) <- x;
+                  if f x 0 then lnull.(l) <- true;
+                  lpc.(l) <- pc + 1
+                done;
+                k))
+    | Zdep { r = s; pos; len; t } ->
+        let rs = rf.(src s) and rd = rf.(dst t) in
         Body (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              rd.(l) <- ((rs.(l) land mask) lsl pos) land u32
+              rd.(l) <- zdep ~pos ~len rs.(l)
             done;
             k)
-    | Shd { a; b; sa; t = d } ->
-        let ra = rf.(ri a) and rb = rf.(ri b) and rd = rf.(wi d) in
-        if sa = 0 then
-          Body (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                rd.(l) <- rb.(l)
-              done;
-              k)
-        else
-          Body (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                rd.(l) <-
-                  ((ra.(l) lsl (32 - sa)) lor (rb.(l) lsr sa)) land u32
-              done;
-              k)
-    | Ldil { imm; t = d } ->
-        let rd = rf.(wi d) and imm = iu imm in
+    | Shd { a; b; sa; t } ->
+        let ra = rf.(src a) and rb = rf.(src b) and rd = rf.(dst t) in
         Body (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              rd.(l) <- imm
+              rd.(l) <- shd ~sa ra.(l) rb.(l)
             done;
             k)
-    | Ldo { imm; base; t = d } ->
-        let rb = rf.(ri base) and rd = rf.(wi d) and imm = iu imm in
+    | Ldil { imm = x; t } -> load_const n t (imm x)
+    | Ldaddr { target; t } -> load_const n t (wrap target)
+    | Ldo { imm = x; base; t } ->
+        let rb = rf.(src base) and rd = rf.(dst t) and x = imm x in
         Body (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              rd.(l) <- (rb.(l) + imm) land u32
+              rd.(l) <- wrap (rb.(l) + x)
             done;
             k)
-    | Ldw { disp; base; t = d } ->
-        let rb = rf.(ri base) and rd = rf.(wi d) and disp = iu disp in
-        Body (fun ln k ->
-            mc.(n) <- mc.(n) + k;
-            let j = ref 0 in
-            for i = 0 to k - 1 do
-              let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              let addr = (rb.(l) + disp) land u32 in
-              if addr land 3 <> 0 then
-                trap l pc (Trap.Unaligned (Int32.of_int addr))
-              else
-                let w = addr lsr 2 in
-                if w >= mem_words then
-                  trap l pc (Trap.Bad_address (Int32.of_int addr))
-                else begin
-                  rd.(l) <- lmem.(l).(w);
-                  ln.(!j) <- l;
-                  incr j
-                end
-            done;
-            !j)
-    | Stw { r = src; disp; base } ->
-        let rs = rf.(ri src) and rb = rf.(ri base) and disp = iu disp in
-        Body (fun ln k ->
-            mc.(n) <- mc.(n) + k;
-            let j = ref 0 in
-            for i = 0 to k - 1 do
-              let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              let addr = (rb.(l) + disp) land u32 in
-              if addr land 3 <> 0 then
-                trap l pc (Trap.Unaligned (Int32.of_int addr))
-              else
-                let w = addr lsr 2 in
-                if w >= mem_words then
-                  trap l pc (Trap.Bad_address (Int32.of_int addr))
-                else begin
-                  lmem.(l).(w) <- rs.(l);
-                  ln.(!j) <- l;
-                  incr j
-                end
-            done;
-            !j)
-    | Ldaddr { target; t = d } ->
-        let rd = rf.(wi d) and v = target land u32 in
+    | Ldw { disp; base; t } ->
+        let rb = rf.(src base) and rd = rf.(dst t) and disp = imm disp in
         Body (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              rd.(l) <- v
+              let addr = wrap (rb.(l) + disp) in
+              if mem_ok ~words:mem_words addr then
+                rd.(l) <- lmem.(l).(addr lsr 2)
+              else trap l pc (mem_fault addr)
             done;
-            k)
+            settle ln k)
+    | Stw { r = s; disp; base } ->
+        let rs = rf.(src s) and rb = rf.(src base) and disp = imm disp in
+        Body (fun ln k ->
+            mc.(n) <- mc.(n) + k;
+            for i = 0 to k - 1 do
+              let l = ln.(i) in
+              let addr = wrap (rb.(l) + disp) in
+              if mem_ok ~words:mem_words addr then
+                lmem.(l).(addr lsr 2) <- rs.(l)
+              else trap l pc (mem_fault addr)
+            done;
+            settle ln k)
     | Comb { cond; a; b; target; n = _ } ->
-        let ra = rf.(ri a) and rb = rf.(ri b) in
-        let f = Engine.cond_fn cond in
-        if target >= 0 && target < len then
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                if f ra.(l) rb.(l) then begin
-                  taken := !taken + 1;
-                  lpc.(l) <- target
-                end
-                else lpc.(l) <- pc + 1
-              done;
-              k)
-        else
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              let j = ref 0 in
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                if f ra.(l) rb.(l) then trap l pc (Trap.Bad_pc target)
-                else begin
-                  lpc.(l) <- pc + 1;
-                  ln.(!j) <- l;
-                  incr j
-                end
-              done;
-              !j)
-    | Comib { cond; imm; a; target; n = _ } ->
-        let ra = rf.(ri a) and imm = iu imm in
-        let f = Engine.cond_fn cond in
-        if target >= 0 && target < len then
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                if f imm ra.(l) then begin
-                  taken := !taken + 1;
-                  lpc.(l) <- target
-                end
-                else lpc.(l) <- pc + 1
-              done;
-              k)
-        else
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              let j = ref 0 in
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                if f imm ra.(l) then trap l pc (Trap.Bad_pc target)
-                else begin
-                  lpc.(l) <- pc + 1;
-                  ln.(!j) <- l;
-                  incr j
-                end
-              done;
-              !j)
-    | Addib { cond; imm; a; target; n = _ } ->
-        let ra = rf.(ri a) and raw = rf.(wi a) and imm = iu imm in
-        let f = Engine.cond_fn cond in
-        if target >= 0 && target < len then
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                let sum = (ra.(l) + imm) land u32 in
-                raw.(l) <- sum;
-                if f sum 0 then begin
-                  taken := !taken + 1;
-                  lpc.(l) <- target
-                end
-                else lpc.(l) <- pc + 1
-              done;
-              k)
-        else
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              let j = ref 0 in
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                (* The counter is written before the condition decides —
-                   it persists even into a Bad_pc trap. *)
-                let sum = (ra.(l) + imm) land u32 in
-                raw.(l) <- sum;
-                if f sum 0 then trap l pc (Trap.Bad_pc target)
-                else begin
-                  lpc.(l) <- pc + 1;
-                  ln.(!j) <- l;
-                  incr j
-                end
-              done;
-              !j)
+        let ra = rf.(src a) and rb = rf.(src b) and f = cond_fn cond in
+        Term (fun ln k ->
+            mc.(n) <- mc.(n) + k;
+            for i = 0 to k - 1 do
+              let l = ln.(i) in
+              if f ra.(l) rb.(l) then jump l pc target else lpc.(l) <- pc + 1
+            done;
+            settle ln k)
+    | Comib { cond; imm = x; a; target; n = _ } ->
+        let ra = rf.(src a) and x = imm x and f = cond_fn cond in
+        Term (fun ln k ->
+            mc.(n) <- mc.(n) + k;
+            for i = 0 to k - 1 do
+              let l = ln.(i) in
+              if f x ra.(l) then jump l pc target else lpc.(l) <- pc + 1
+            done;
+            settle ln k)
+    | Addib { cond; imm = x; a; target; n = _ } ->
+        let ra = rf.(src a) and rd = rf.(dst a) and x = imm x in
+        let f = cond_fn cond in
+        Term (fun ln k ->
+            mc.(n) <- mc.(n) + k;
+            for i = 0 to k - 1 do
+              let l = ln.(i) in
+              if addib f ra.(l) x rd l then jump l pc target
+              else lpc.(l) <- pc + 1
+            done;
+            settle ln k)
     | B { target; n = _ } ->
-        if target >= 0 && target < len then
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                taken := !taken + 1;
-                lpc.(l) <- target
-              done;
-              k)
-        else
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                trap l pc (Trap.Bad_pc target)
-              done;
-              0)
-    | Bl { target; t = d; n = _ } ->
-        let rd = rf.(wi d) in
-        if target >= 0 && target < len then
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                rd.(l) <- pc + 1;
-                taken := !taken + 1;
-                lpc.(l) <- target
-              done;
-              k)
-        else
-          Term (fun ln k ->
-              mc.(n) <- mc.(n) + k;
-              for i = 0 to k - 1 do
-                let l = ln.(i) in
-                lcyc.(l) <- lcyc.(l) + 1;
-                (* The link is written before the branch traps, like the
-                   scalar engine. *)
-                rd.(l) <- pc + 1;
-                trap l pc (Trap.Bad_pc target)
-              done;
-              0)
-    | Blr { x; t = d; n = _ } ->
-        let rx = rf.(ri x) and rd = rf.(wi d) in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
-            let j = ref 0 in
+            for i = 0 to k - 1 do
+              jump ln.(i) pc target
+            done;
+            settle ln k)
+    | Bl { target; t; n = _ } ->
+        let rd = rf.(dst t) in
+        Term (fun ln k ->
+            mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              (* Link before reading x (t may be x). *)
               rd.(l) <- pc + 1;
-              let tg = pc + 1 + (2 * rx.(l)) in
-              if tg < len then begin
-                taken := !taken + 1;
-                lpc.(l) <- tg;
-                ln.(!j) <- l;
-                incr j
-              end
-              else trap l pc (Trap.Bad_pc tg)
+              jump l pc target
             done;
-            !j)
-    | Bv { x; base; n = _ } ->
-        let rx = rf.(ri x) and rb = rf.(ri base) in
+            settle ln k)
+    | Blr { x; t; n = _ } ->
+        let rx = rf.(src x) and rd = rf.(dst t) in
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
-            let j = ref 0 in
             for i = 0 to k - 1 do
               let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              let tw = (rb.(l) + ((2 * rx.(l)) land u32)) land u32 in
-              if tw = u32 then begin
-                (* Halt sentinel: retire the lane with the PC past this
-                   instruction. *)
-                taken := !taken + 1;
-                lstatus.(l) <- s_halted;
-                lpc.(l) <- pc + 1
-              end
-              else if tw < len then begin
-                taken := !taken + 1;
-                lpc.(l) <- tw;
-                ln.(!j) <- l;
-                incr j
-              end
-              else trap l pc (Trap.Bad_pc tw)
+              jump l pc (blr ~pc rx l rd l)
             done;
-            !j)
+            settle ln k)
+    | Bv { x; base; n = _ } ->
+        let rx = rf.(src x) and rb = rf.(src base) in
+        Term (fun ln k ->
+            mc.(n) <- mc.(n) + k;
+            for i = 0 to k - 1 do
+              let l = ln.(i) in
+              let target = bv rx.(l) rb.(l) in
+              if target = halt then begin
+                incr taken;
+                retire l Halted (pc + 1)
+              end
+              else jump l pc target
+            done;
+            settle ln k)
     | Break { code } ->
         Term (fun ln k ->
             mc.(n) <- mc.(n) + k;
             for i = 0 to k - 1 do
-              let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1;
-              trap l pc (Trap.Break code)
+              trap ln.(i) pc (Trap.Break code)
             done;
-            0)
+            settle ln k)
     | Nop ->
-        Body (fun ln k ->
+        Body (fun _ k ->
             mc.(n) <- mc.(n) + k;
-            for i = 0 to k - 1 do
-              let l = ln.(i) in
-              lcyc.(l) <- lcyc.(l) + 1
-            done;
             k)
   in
-  (* Thread the closures into superblocks exactly like the scalar
-     engine: [ops] is the single-instruction step used when some cohort
-     lane's fuel cannot cover the whole block, [blen] the block length
-     from each entry point. *)
-  let dummy _ _ = 0 in
-  let ops = Array.make (max len 1) dummy in
-  let blocks = Array.make (max len 1) dummy in
-  let blen = Array.make (max len 1) 0 in
-  for pc = len - 1 downto 0 do
-    match compile pc code.(pc) with
-    | Term f ->
-        ops.(pc) <- f;
-        blocks.(pc) <- f;
-        blen.(pc) <- 1
-    | Body b ->
-        let stepped ln k =
-          let k' = b ln k in
-          for i = 0 to k' - 1 do
-            lpc.(ln.(i)) <- pc + 1
-          done;
-          k'
-        in
-        ops.(pc) <- stepped;
-        if pc = len - 1 then begin
-          blocks.(pc) <- stepped;
-          blen.(pc) <- 1
-        end
-        else begin
-          let next = blocks.(pc + 1) in
-          blocks.(pc) <- (fun ln k ->
-              let k' = b ln k in
-              if k' = 0 then 0 else next ln k');
-          blen.(pc) <- blen.(pc + 1) + 1
-        end
-  done;
+  (* [ops] is the single-instruction step used when some cohort lane's
+     fuel cannot cover the whole block. [Sys.opaque_identity] keeps each
+     wrapper a closure of its own, as in {!Engine}. *)
+  let { Sem.ops; blocks; blen } =
+    Sem.thread len compile
+      ~dummy:(fun _ _ -> 0)
+      ~step:(fun pc b ->
+        Sys.opaque_identity (fun ln k ->
+            let k' = b ln k in
+            for i = 0 to k' - 1 do
+              lpc.(ln.(i)) <- pc + 1
+            done;
+            k'))
+      ~chain:(fun b next ->
+        Sys.opaque_identity (fun ln k ->
+            let k' = b ln k in
+            if k' = 0 then 0 else next ln k'))
+  in
   let stats = Stats.create ?registry:obs ~labels:obs_labels () in
   let c_lanes = Obs.Counter.create () in
   let c_trapped = Obs.Counter.create () in
@@ -880,7 +560,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     Array.fill mc 0 (Array.length mc) 0;
     let na = ref 0 in
     for l = 0 to width - 1 do
-      if lstatus.(l) = s_running then begin
+      if lstatus.(l) = Running then begin
         act.(!na) <- l;
         incr na
       end
@@ -899,7 +579,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
         for i = 0 to !na - 1 do
           let l = act.(i) in
           if lpc.(l) < 0 then begin
-            lstatus.(l) <- s_halted;
+            lstatus.(l) <- Halted;
             lpc.(l) <- 0
           end
         done
@@ -909,9 +589,9 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
           let l = act.(i) in
           if lpc.(l) = minpc then begin
             let f = lfuel.(l) in
-            if f = 0 then lstatus.(l) <- s_fuel
+            if f = 0 then lstatus.(l) <- Out_of_fuel
             else if minpc >= len then begin
-              lstatus.(l) <- s_trapped;
+              lstatus.(l) <- Trapped;
               ltrap.(l) <- Trap.Bad_pc minpc
             end
             else if lnull.(l) then begin
@@ -932,30 +612,28 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
         done;
         if !k > 0 then begin
           incr disp;
+          entry := minpc;
+          (* When some lane cannot cover the block, single-step the
+             whole cohort (observationally identical, only slower).
+             Survivors ran every instruction dispatched; [compact]
+             charged the lanes that retired. *)
           let bl = blen.(minpc) in
-          if !minfuel >= bl then begin
-            let k' = blocks.(minpc) coh !k in
-            for i = 0 to k' - 1 do
-              let l = coh.(i) in
-              if lfuel.(l) > 0 then lfuel.(l) <- lfuel.(l) - bl
-            done
-          end
-          else begin
-            (* Some lane cannot cover the block: single-step the whole
-               cohort (observationally identical, only slower). *)
-            let k' = ops.(minpc) coh !k in
-            for i = 0 to k' - 1 do
-              let l = coh.(i) in
-              if lfuel.(l) > 0 then lfuel.(l) <- lfuel.(l) - 1
-            done
-          end
+          let ran, k' =
+            if !minfuel >= bl then (bl, blocks.(minpc) coh !k)
+            else (1, ops.(minpc) coh !k)
+          in
+          for i = 0 to k' - 1 do
+            let l = coh.(i) in
+            lcyc.(l) <- lcyc.(l) + ran;
+            if lfuel.(l) > 0 then lfuel.(l) <- lfuel.(l) - ran
+          done
         end
       end;
       (* Drop retired lanes from the active set. *)
       let j = ref 0 in
       for i = 0 to !na - 1 do
         let l = act.(i) in
-        if lstatus.(l) = s_running then begin
+        if lstatus.(l) = Running then begin
           act.(!j) <- l;
           incr j
         end
@@ -970,7 +648,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     Stats.add_branches_taken stats !taken;
     let ntrapped = ref 0 in
     for l = 0 to width - 1 do
-      if lstatus.(l) = s_trapped then begin
+      if lstatus.(l) = Trapped then begin
         Stats.record_trap stats (Trap.name ltrap.(l));
         incr ntrapped
       end
@@ -985,8 +663,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     mem_words;
     rf;
     lmem;
-    lcarry;
-    lv;
+    lpsw;
     lnull;
     lpc;
     lfuel;
@@ -1024,19 +701,19 @@ let get_reg t ~lane rg =
 let set_reg t ~lane rg v =
   check_lane t lane;
   let i = Reg.to_int rg in
-  if i <> 0 then t.rf.(i).(lane) <- Int32.to_int v land u32
+  if i <> 0 then t.rf.(i).(lane) <- Sem.wrap (Int32.to_int v)
 
-let carry t ~lane = check_lane t lane; t.lcarry.(lane)
-let v_bit t ~lane = check_lane t lane; t.lv.(lane)
+let carry t ~lane = check_lane t lane; t.lpsw.(lane).carry
+let v_bit t ~lane = check_lane t lane; t.lpsw.(lane).v
 let pc t ~lane = check_lane t lane; t.lpc.(lane)
 let cycles t ~lane = check_lane t lane; t.lcyc.(lane)
 
 let outcome t ~lane =
   check_lane t lane;
   match t.lstatus.(lane) with
-  | 2 -> Cpu.Fuel_exhausted
-  | 3 -> Cpu.Trapped t.ltrap.(lane)
-  | _ -> Cpu.Halted
+  | Out_of_fuel -> Cpu.Fuel_exhausted
+  | Trapped -> Cpu.Trapped t.ltrap.(lane)
+  | Running | Halted -> Cpu.Halted
 
 let load_word t ~lane (addr : int32) =
   check_lane t lane;
@@ -1068,12 +745,13 @@ let call ?(fuel = 1_000_000) t name ~args =
       if List.length largs > 6 then
         invalid_arg "Engine_batch.call: more than 6 arguments";
       List.iteri
-        (fun i v -> t.rf.(Reg.to_int arg_regs.(i)).(l) <- Int32.to_int v land u32)
+        (fun i v ->
+          t.rf.(Reg.to_int arg_regs.(i)).(l) <- Sem.wrap (Int32.to_int v))
         largs;
-      t.rf.(rp).(l) <- u32;
-      t.rf.(mrp).(l) <- u32;
+      t.rf.(rp).(l) <- Sem.halt;
+      t.rf.(mrp).(l) <- Sem.halt;
       t.lnull.(l) <- false;
-      t.lstatus.(l) <- s_running;
+      t.lstatus.(l) <- Running;
       t.lpc.(l) <- entry;
       t.lfuel.(l) <- fuel;
       t.lcyc.(l) <- 0)

@@ -3,14 +3,16 @@
     Translates a program once and runs it over a vector of lanes — one
     independent machine per lane — with every per-instruction cost
     (closure dispatch, mnemonic bookkeeping, branch checks) paid once
-    per instruction per cohort of lanes instead of once per lane.
-    Register state is one unboxed [int array] per architectural
-    register; per-lane memory images are allocated only when the program
-    loads or stores.
+    per instruction per cohort of lanes instead of once per lane. Each
+    closure's lane loop applies {!Sem}'s statement of the instruction,
+    the one {!Engine} specialises too. Register state is one unboxed
+    [int array] per architectural register; per-lane memory images are
+    allocated only when the program loads or stores.
 
     Divergent lanes are scheduled as min-PC cohorts and reconverge by PC
     order; a lane that traps or exhausts fuel records its own outcome
-    and is masked out while its neighbours proceed. Every lane observes
+    and is masked out while its neighbours proceed. The scheduler counts
+    each lane's cycles once per dispatch. Every lane observes
     exactly the scalar {!Engine} semantics — outcome, registers, PSW
     C/V, PC, memory and per-lane cycle counts — which the differential
     test suite pins against both the scalar engine and the {!Cpu}

@@ -203,45 +203,52 @@ let fuel_boundary_lanes () =
   done
 
 (* Seeded random programs (loads, stores, traps, computed branches)
-   with per-lane random register images and private memories. *)
+   with per-lane random register images and private memories. Each runs
+   at fuel 2000 and again, from the same images, at two small budgets
+   (0 .. 50) that run out inside fused blocks on divergent lanes. *)
 let random_programs () =
   let st = Random.State.make [| 0xBA7C; 42 |] in
   let width = 8 in
   let mem_bytes = 4096 in
   for p = 1 to 40 do
     let prog = Test_engine.gen_program st in
-    let b = Batch.create ~mem_bytes ~lanes:width prog in
-    let scalar =
-      Array.init width (fun _ -> Machine.create ~mem_bytes prog)
-    in
-    let interp =
+    let init =
       Array.init width (fun _ ->
-          Machine.create ~mem_bytes
-            ~config:{ Machine.Config.default with engine = false }
-            prog)
+          Array.init 31 (fun _ -> Test_engine.gen_value st))
     in
-    for l = 0 to width - 1 do
-      for i = 1 to 31 do
-        let v = Test_engine.gen_value st in
-        Batch.set_reg b ~lane:l (Reg.of_int i) v;
-        Machine.set scalar.(l) (Reg.of_int i) v;
-        Machine.set interp.(l) (Reg.of_int i) v
-      done
-    done;
-    let args = Array.make width [] in
-    Batch.call ~fuel:2000 b "L0" ~args;
-    for l = 0 to width - 1 do
-      let ctx = Printf.sprintf "program %d" p in
-      let oe, ce = Machine.call_cycles ~fuel:2000 scalar.(l) "L0" ~args:[] in
-      check_lane ~ctx ~mem_words:(mem_bytes / 4) b ~lane:l (scalar.(l), oe, ce);
-      let oi, ci = Machine.call_cycles ~fuel:2000 interp.(l) "L0" ~args:[] in
-      check_lane ~ctx:(ctx ^ " (interp)") ~mem_words:(mem_bytes / 4) b ~lane:l
-        (interp.(l), oi, ci)
-    done;
-    check_stats_sum
-      ~ctx:(Printf.sprintf "program %d" p)
-      b
-      (Array.to_list scalar)
+    List.iter
+      (fun fuel ->
+        let b = Batch.create ~mem_bytes ~lanes:width prog in
+        let scalar =
+          Array.init width (fun _ -> Machine.create ~mem_bytes prog)
+        in
+        let interp =
+          Array.init width (fun _ ->
+              Machine.create ~mem_bytes
+                ~config:{ Machine.Config.default with engine = false }
+                prog)
+        in
+        for l = 0 to width - 1 do
+          for i = 1 to 31 do
+            let v = init.(l).(i - 1) in
+            Batch.set_reg b ~lane:l (Reg.of_int i) v;
+            Machine.set scalar.(l) (Reg.of_int i) v;
+            Machine.set interp.(l) (Reg.of_int i) v
+          done
+        done;
+        let args = Array.make width [] in
+        Batch.call ~fuel b "L0" ~args;
+        let ctx = Printf.sprintf "program %d fuel %d" p fuel in
+        for l = 0 to width - 1 do
+          let oe, ce = Machine.call_cycles ~fuel scalar.(l) "L0" ~args:[] in
+          check_lane ~ctx ~mem_words:(mem_bytes / 4) b ~lane:l
+            (scalar.(l), oe, ce);
+          let oi, ci = Machine.call_cycles ~fuel interp.(l) "L0" ~args:[] in
+          check_lane ~ctx:(ctx ^ " (interp)") ~mem_words:(mem_bytes / 4) b
+            ~lane:l (interp.(l), oi, ci)
+        done;
+        check_stats_sum ~ctx b (Array.to_list scalar))
+      [ 2000; p - 1; p + 10 ]
   done
 
 (* Width-1 batches are just a slow scalar engine; pin the equivalence on
@@ -266,6 +273,54 @@ let width_one () =
         ])
     [ "divU"; "divI"; "remU"; "remI" ]
 
+(* Each static-branch form taken to a label past the last instruction:
+   the target is the image length, so every engine traps [Bad_pc] at
+   the branch, after one cycle and without counting the branch taken. *)
+let static_bad_pc () =
+  let forms : string Insn.t list =
+    [
+      Comb
+        { cond = Cond.Eq; a = Reg.r0; b = Reg.r0; target = "end"; n = false };
+      Comib { cond = Cond.Eq; imm = 0l; a = Reg.r0; target = "end"; n = false };
+      Addib
+        { cond = Cond.Neq; imm = 1l; a = Reg.t1; target = "end"; n = false };
+      B { target = "end"; n = false };
+      Bl { target = "end"; t = Reg.rp; n = false };
+    ]
+  in
+  List.iter
+    (fun insn ->
+      let prog =
+        Program.resolve_exn
+          [ Program.Label "L0"; Program.Insn insn; Program.Label "end" ]
+      in
+      let ctx = Insn.mnemonic (Program.code prog).(0) in
+      let width = 3 in
+      let b = Batch.create ~lanes:width prog in
+      let args = Array.make width [] in
+      Batch.call b "L0" ~args;
+      List.iter
+        (fun engine ->
+          let m =
+            Machine.create ~config:{ Machine.Config.default with engine } prog
+          in
+          let om, cm = Machine.call_cycles m "L0" ~args:[] in
+          (match om with
+          | Machine.Trapped (Trap.Bad_pc 1) -> ()
+          | o -> Alcotest.failf "%s: %s, not bad pc 1" ctx (outcome_str o));
+          Alcotest.(check int) (ctx ^ " pc") 0 (Machine.pc m);
+          Alcotest.(check int) (ctx ^ " cycles") 1 cm;
+          Alcotest.(check int)
+            (ctx ^ " taken") 0
+            (Stats.branches_taken (Machine.stats m));
+          for l = 0 to width - 1 do
+            check_lane ~ctx ~mem_words:0 b ~lane:l (m, om, cm)
+          done)
+        [ true; false ];
+      Alcotest.(check int) (ctx ^ " batch taken") 0
+        (Stats.branches_taken (Batch.stats b)))
+    forms
+
 let suite =
   [
     ( "batch.differential",
@@ -279,5 +334,7 @@ let suite =
         Alcotest.test_case "40 seeded random programs, width 8" `Quick
           random_programs;
         Alcotest.test_case "width 1 equals the scalar engine" `Quick width_one;
+        Alcotest.test_case "static branches past the image trap" `Quick
+          static_bad_pc;
       ] );
   ]

@@ -65,11 +65,12 @@ let check_same ~ctx ~mem_words (me, oe) (mi, oi) =
 (* ------------------------------------------------------------------ *)
 (* Seeded random program generator                                     *)
 
-let gen_insn st n_insns : string Insn.t =
+(* Branch targets are drawn from the labels L0 .. L(n_labels - 1). *)
+let gen_insn st n_labels : string Insn.t =
   let ri () = Random.State.int st in
   let reg () = Reg.of_int (ri () 32) in
   let cond () = List.nth Cond.all (ri () (List.length Cond.all)) in
-  let lbl () = Printf.sprintf "L%d" (ri () n_insns) in
+  let lbl () = Printf.sprintf "L%d" (ri () n_labels) in
   let simm bits = Int32.of_int (ri () (1 lsl bits) - (1 lsl (bits - 1))) in
   let n () = Random.State.bool st in
   match ri () 100 with
@@ -139,16 +140,25 @@ let gen_insn st n_insns : string Insn.t =
 
 let gen_program st =
   let n = 8 + Random.State.int st 33 in
+  (* Every third program also ends on a label L<n> after its last
+     instruction. It resolves to the image length, so a static branch
+     that draws it traps [Bad_pc] at the branch. *)
+  let trailing = n mod 3 = 0 in
+  let n_labels = if trailing then n + 1 else n in
   let body =
     List.concat
       (List.init n (fun i ->
            [
              Program.Label (Printf.sprintf "L%d" i);
-             Program.Insn (gen_insn st n);
+             Program.Insn (gen_insn st n_labels);
            ]))
   in
   (* End on a procedure return so straight-line fall-through halts. *)
-  let src = body @ [ Program.Insn (Bv { x = Reg.r0; base = Reg.rp; n = false }) ] in
+  let src =
+    body
+    @ [ Program.Insn (Bv { x = Reg.r0; base = Reg.rp; n = false }) ]
+    @ if trailing then [ Program.Label (Printf.sprintf "L%d" n) ] else []
+  in
   match Program.resolve src with
   | Ok p -> p
   | Error e -> Alcotest.failf "generated program does not resolve: %s" e
@@ -169,8 +179,9 @@ let gen_value st =
         (Int32.shift_left (Int32.of_int (Random.State.int st 0x10000)) 16)
         (Int32.of_int (Random.State.int st 0x10000))
 
-let run_differential ~delay st prog =
-  let init = Array.init 32 (fun _ -> gen_value st) in
+let gen_init st = Array.init 32 (fun _ -> gen_value st)
+
+let run_differential ?(fuel = 2000) ~delay ~init prog =
   let mk engine =
     let config = { Machine.Config.default with engine } in
     let m =
@@ -182,29 +193,40 @@ let run_differential ~delay st prog =
     m
   in
   let me = mk true and mi = mk false in
-  let oe = Machine.call ~fuel:2000 me "L0" ~args:[] in
-  let oi = Machine.call ~fuel:2000 mi "L0" ~args:[] in
+  let oe = Machine.call ~fuel me "L0" ~args:[] in
+  let oi = Machine.call ~fuel mi "L0" ~args:[] in
   ((me, oe), (mi, oi))
 
+(* Each program runs at fuel 2000 and again, from the same registers,
+   at a small budget (0 .. 50) that runs out inside a block or a
+   nullify shadow. *)
 let fuzz_default () =
   let st = Random.State.make [| 0x5ee0; 1987 |] in
   for i = 1 to 1200 do
     let prog = gen_program st in
-    let (me, oe), (mi, oi) = run_differential ~delay:false st prog in
-    if not (Machine.used_engine me) then
-      Alcotest.failf "program %d: engine path not taken" i;
-    if Machine.used_engine mi then
-      Alcotest.failf "program %d: disabled engine still ran" i;
-    check_same
-      ~ctx:(Printf.sprintf "program %d" i)
-      ~mem_words:(fuzz_mem_bytes / 4) (me, oe) (mi, oi)
+    let init = gen_init st in
+    List.iter
+      (fun fuel ->
+        let (me, oe), (mi, oi) =
+          run_differential ~fuel ~delay:false ~init prog
+        in
+        if not (Machine.used_engine me) then
+          Alcotest.failf "program %d: engine path not taken" i;
+        if Machine.used_engine mi then
+          Alcotest.failf "program %d: disabled engine still ran" i;
+        check_same
+          ~ctx:(Printf.sprintf "program %d fuel %d" i fuel)
+          ~mem_words:(fuzz_mem_bytes / 4) (me, oe) (mi, oi))
+      [ 2000; i mod 51 ]
   done
 
 let fuzz_delay () =
   let st = Random.State.make [| 0xde1a; 1987 |] in
   for i = 1 to 300 do
     let prog = gen_program st in
-    let (me, oe), (mi, oi) = run_differential ~delay:true st prog in
+    let (me, oe), (mi, oi) =
+      run_differential ~delay:true ~init:(gen_init st) prog
+    in
     (* Delay-slot mode is outside the engine's reach: both machines must
        take the reference interpreter, engine switch notwithstanding. *)
     if Machine.used_engine me then
