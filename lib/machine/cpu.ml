@@ -70,6 +70,7 @@ type t = {
 }
 
 let halt_sentinel = -1l
+let arg_regs = [| Reg.arg0; Reg.arg1; Reg.arg2; Reg.arg3; Reg.ret0; Reg.ret1 |]
 
 let create ?(mem_bytes = 65536) ?(delay_slots = false)
     ?(config = default_config) prog =

@@ -59,6 +59,13 @@ type t = {
 
 val halt_sentinel : Hppa_word.Word.t
 
+val arg_regs : Reg.t array
+(** The call convention's argument registers, in argument order:
+    millicode takes up to four words in [arg0..arg3], and the 128/64
+    divide its divisor dword in [ret0:ret1], so a fifth and sixth
+    argument land there. Its length is the argument limit of
+    {!Machine.call} and {!Engine_batch.call}. *)
+
 val create :
   ?mem_bytes:int -> ?delay_slots:bool -> ?config:config -> Program.resolved -> t
 val delay_slots : t -> bool

@@ -14,8 +14,9 @@
    register ([rf.(reg).(lane)]), carrying the same unsigned 32-bit
    representation as the scalar engine; slot 0 is the hardwired zero and
    slot 32 the write sink for r0 targets. PSW records, nullify flags,
-   PCs, fuel and cycle counters are parallel per-lane arrays. Per-lane memory
-   images are allocated only when the program actually loads or stores.
+   PCs and cycle counters are parallel per-lane arrays; a lane's
+   remaining fuel is the call's budget less its cycles. A lane's
+   memory image is allocated on its first store; until then it reads 0.
 
    Divergence: lanes are scheduled as min-PC cohorts. Each round the
    scheduler gathers every running lane at the lowest PC and dispatches
@@ -30,8 +31,11 @@
    itself counted executed, like the scalar engine), and the closure's
    rare path compacts it out of the cohort so its neighbours proceed;
    fuel exhaustion and the halt sentinel likewise retire single lanes.
-   Cycles are charged once per dispatch: survivors the instructions
-   dispatched, retired lanes the instructions they ran. Statistics
+   Cycles are charged when a cohort's run ends: survivors the
+   instructions dispatched, retired lanes the instructions they ran.
+   While one cohort holds every running lane and stays at one PC, it is
+   dispatched again without re-gathering, so a converged batch pays the
+   scheduler's passes over its lanes only where it diverges. Statistics
    parity: per-lane cycle counters match the scalar engine's cycle
    accounting lane for lane, and the aggregate mnemonic histogram equals
    the sum of the corresponding scalar runs. Instances are not
@@ -48,11 +52,11 @@ type t = {
   lanes : int;
   mem_words : int;
   rf : int array array;  (* 33 registers x lanes; .(0) zero, .(32) sink *)
-  lmem : int array array;  (* lanes x mem_words, [||] when unused *)
+  lmem : int array array;
+      (* lanes x mem_words; a lane's row is [||] until its first store *)
   lpsw : Sem.psw array;
   lnull : bool array;
   lpc : int array;
-  lfuel : int array;  (* negative = infinite, like the scalar engine *)
   lcyc : int array;  (* cycles of the current/last run *)
   lstatus : status array;
   ltrap : Trap.t array;
@@ -61,8 +65,13 @@ type t = {
   c_lanes : Obs.Counter.t;
   c_trapped : Obs.Counter.t;
   c_dispatches : Obs.Counter.t;
-  go : int -> unit;  (* run [width] lanes from their per-lane PCs *)
+  go : int -> int -> unit;
+      (* [go width budget] runs [width] lanes from their per-lane PCs,
+         each with [budget] fuel *)
 }
+
+(* A lane's memory row reads 0 until its first store allocates it. *)
+let[@inline] row_get row i = if Array.length row = 0 then 0 else row.(i)
 
 (* A compiled instruction executes one opcode for lanes[0..k-1] and
    returns the surviving count. [Body] never touches per-lane PCs — its
@@ -75,31 +84,26 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
   let code = Program.code prog in
   let len = Array.length code in
   let mem_words = (mem_bytes + 3) / 4 in
-  let uses_mem =
-    Array.exists
-      (function Insn.Ldw _ | Insn.Stw _ -> true | _ -> false)
-      code
-  in
-  let lmem =
-    if uses_mem then Array.init lanes (fun _ -> Array.make mem_words 0)
-    else [||]
-  in
+  let lmem = Array.make lanes [||] in
   let rf = Array.init (Sem.sink + 1) (fun _ -> Array.make lanes 0) in
   let lpsw = Array.init lanes (fun _ -> { Sem.carry = false; v = false }) in
   let lnull = Array.make lanes false in
   let lpc = Array.make lanes 0 in
-  let lfuel = Array.make lanes 0 in
   let lcyc = Array.make lanes 0 in
   let lstatus = Array.make lanes Halted in
   let ltrap = Array.make lanes (Trap.Break 0) in
   (* Interned mnemonics: closures count cohort sizes into a dense array. *)
   let mid, names = Sem.intern_mnemonics code in
-  let mc = Array.make (max (Array.length names) 1) 0 in
+  let stats = Stats.create ?registry:obs ~labels:obs_labels () in
+  let tally = Stats.tally stats names in
+  let mc = Stats.counts tally in
   (* Per-run aggregates, reset by [go]. *)
   let nulls = ref 0 and taken = ref 0 and disp = ref 0 in
-  (* [entry] is the PC the current dispatch started at; [retired] counts
-     lanes that trapped or halted in the running closure. *)
-  let entry = ref 0 and retired = ref 0 in
+  (* [entry] is the PC the current dispatch started at and [ahead] the
+     cycles the cohort ran before it and has not yet been charged;
+     [retired] counts lanes that trapped or halted in the running
+     closure. *)
+  let entry = ref 0 and ahead = ref 0 and retired = ref 0 in
   let retire l status pcv =
     lstatus.(l) <- status;
     lpc.(l) <- pcv;
@@ -110,8 +114,8 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     retire l Trapped pc
   in
   (* The rare path after a closure in which some lane retired: drop the
-     retired lanes from the cohort, charging each the cycles it ran in
-     this dispatch (a trap counts its own instruction). *)
+     retired lanes from the cohort, charging each the cycles it ran (a
+     trap counts its own instruction). *)
   let compact ln k =
     retired := 0;
     let j = ref 0 in
@@ -121,8 +125,8 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
       | Running ->
           ln.(!j) <- l;
           incr j
-      | Trapped -> lcyc.(l) <- lcyc.(l) + lpc.(l) - !entry + 1
-      | Halted | Out_of_fuel -> lcyc.(l) <- lcyc.(l) + lpc.(l) - !entry
+      | Trapped -> lcyc.(l) <- lcyc.(l) + !ahead + lpc.(l) - !entry + 1
+      | Halted | Out_of_fuel -> lcyc.(l) <- lcyc.(l) + !ahead + lpc.(l) - !entry
     done;
     !j
   in
@@ -415,7 +419,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
               let l = ln.(i) in
               let addr = wrap (rb.(l) + disp) in
               if mem_ok ~words:mem_words addr then
-                rd.(l) <- lmem.(l).(addr lsr 2)
+                rd.(l) <- row_get lmem.(l) (addr lsr 2)
               else trap l pc (mem_fault addr)
             done;
             settle ln k)
@@ -426,8 +430,11 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
             for i = 0 to k - 1 do
               let l = ln.(i) in
               let addr = wrap (rb.(l) + disp) in
-              if mem_ok ~words:mem_words addr then
+              if mem_ok ~words:mem_words addr then begin
+                if Array.length lmem.(l) = 0 then
+                  lmem.(l) <- Array.make mem_words 0;
                 lmem.(l).(addr lsr 2) <- rs.(l)
+              end
               else trap l pc (mem_fault addr)
             done;
             settle ln k)
@@ -530,7 +537,6 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
             let k' = b ln k in
             if k' = 0 then 0 else next ln k'))
   in
-  let stats = Stats.create ?registry:obs ~labels:obs_labels () in
   let c_lanes = Obs.Counter.create () in
   let c_trapped = Obs.Counter.create () in
   let c_dispatches = Obs.Counter.create () in
@@ -550,28 +556,71 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
      the current cohort. *)
   let act = Array.make lanes 0 in
   let coh = Array.make lanes 0 in
+  (* Run a cohort of [k] lanes from [pc], where [minfuel] is the least
+     fuel any of them has left. While the cohort is [whole] (every
+     running lane is in it) and after a dispatch its survivors agree on
+     one PC with no nullify pending and fuel left, the next min-PC round
+     would gather exactly them again: dispatch them straight away. The
+     cycles run are charged to the survivors once, at the end. *)
+  let run_cohort pc k minfuel ~whole =
+    let pc = ref pc and k = ref k and ran = ref 0 and more = ref true in
+    while !more do
+      let p = !pc in
+      let bl = blen.(p) in
+      incr disp;
+      entry := p;
+      ahead := !ran;
+      (* When some lane cannot cover the block, single-step the whole
+         cohort (observationally identical, only slower). *)
+      let k' =
+        if minfuel - !ran >= bl then begin
+          ran := !ran + bl;
+          blocks.(p) coh !k
+        end
+        else begin
+          ran := !ran + 1;
+          ops.(p) coh !k
+        end
+      in
+      more := whole && k' = !k && minfuel > !ran;
+      if !more then begin
+        let p' = lpc.(coh.(0)) in
+        more := p' < len;
+        let i = ref 0 in
+        while !more && !i < k' do
+          let l = coh.(!i) in
+          if lpc.(l) <> p' || lnull.(l) then more := false;
+          incr i
+        done;
+        pc := p'
+      end;
+      k := k'
+    done;
+    for i = 0 to !k - 1 do
+      let l = coh.(i) in
+      lcyc.(l) <- lcyc.(l) + !ran
+    done
+  in
   (* The min-PC cohort scheduler. Mirrors the scalar driver's ordering
      per lane: halt before fuel, fuel before the bounds check, bounds
-     before the nullify shadow. *)
-  let go width =
+     before the nullify shadow. A lane's remaining fuel is the call's
+     [budget] (max_int when unlimited) less its cycles. Each round
+     gathers the lanes at the lowest PC, runs them, then drops retired
+     lanes while finding the next round's lowest PC. *)
+  let go width budget =
     nulls := 0;
     taken := 0;
     disp := 0;
-    Array.fill mc 0 (Array.length mc) 0;
-    let na = ref 0 in
+    let na = ref 0 and next = ref max_int in
     for l = 0 to width - 1 do
       if lstatus.(l) = Running then begin
         act.(!na) <- l;
-        incr na
+        incr na;
+        if lpc.(l) < !next then next := lpc.(l)
       end
     done;
     while !na > 0 do
-      let minpc = ref max_int in
-      for i = 0 to !na - 1 do
-        let p = lpc.(act.(i)) in
-        if p < !minpc then minpc := p
-      done;
-      let minpc = !minpc in
+      let minpc = !next in
       if minpc < 0 then
         (* Only reachable from a caller-planted negative PC; the halt
            sentinel retires lanes inside the BV closure. Mirror the
@@ -588,7 +637,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
         for i = 0 to !na - 1 do
           let l = act.(i) in
           if lpc.(l) = minpc then begin
-            let f = lfuel.(l) in
+            let f = budget - lcyc.(l) in
             if f = 0 then lstatus.(l) <- Out_of_fuel
             else if minpc >= len then begin
               lstatus.(l) <- Trapped;
@@ -599,53 +648,32 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
               lnull.(l) <- false;
               lcyc.(l) <- lcyc.(l) + 1;
               incr nulls;
-              lpc.(l) <- minpc + 1;
-              if f > 0 then lfuel.(l) <- f - 1
+              lpc.(l) <- minpc + 1
             end
             else begin
               coh.(!k) <- l;
               incr k;
-              let fe = if f < 0 then max_int else f in
-              if fe < !minfuel then minfuel := fe
+              if f < !minfuel then minfuel := f
             end
           end
         done;
-        if !k > 0 then begin
-          incr disp;
-          entry := minpc;
-          (* When some lane cannot cover the block, single-step the
-             whole cohort (observationally identical, only slower).
-             Survivors ran every instruction dispatched; [compact]
-             charged the lanes that retired. *)
-          let bl = blen.(minpc) in
-          let ran, k' =
-            if !minfuel >= bl then (bl, blocks.(minpc) coh !k)
-            else (1, ops.(minpc) coh !k)
-          in
-          for i = 0 to k' - 1 do
-            let l = coh.(i) in
-            lcyc.(l) <- lcyc.(l) + ran;
-            if lfuel.(l) > 0 then lfuel.(l) <- lfuel.(l) - ran
-          done
-        end
+        if !k > 0 then run_cohort minpc !k !minfuel ~whole:(!k = !na)
       end;
       (* Drop retired lanes from the active set. *)
       let j = ref 0 in
+      next := max_int;
       for i = 0 to !na - 1 do
         let l = act.(i) in
         if lstatus.(l) = Running then begin
           act.(!j) <- l;
-          incr j
+          incr j;
+          if lpc.(l) < !next then next := lpc.(l)
         end
       done;
       na := !j
     done;
     (* Settle aggregate statistics, like the scalar engine's exit. *)
-    for id = 0 to Array.length names - 1 do
-      if mc.(id) > 0 then Stats.add_executed stats ~mnemonic:names.(id) mc.(id)
-    done;
-    Stats.add_nullified stats !nulls;
-    Stats.add_branches_taken stats !taken;
+    Stats.settle tally ~nullified:!nulls ~taken:!taken;
     let ntrapped = ref 0 in
     for l = 0 to width - 1 do
       if lstatus.(l) = Trapped then begin
@@ -666,7 +694,6 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     lpsw;
     lnull;
     lpc;
-    lfuel;
     lcyc;
     lstatus;
     ltrap;
@@ -721,11 +748,7 @@ let load_word t ~lane (addr : int32) =
   else
     let i = Word.to_int_u addr / 4 in
     if i >= t.mem_words then Error (Trap.Bad_address addr)
-    else if Array.length t.lmem = 0 then Ok 0l
-    else Ok (Int32.of_int t.lmem.(lane).(i))
-
-let arg_regs =
-  [| Reg.arg0; Reg.arg1; Reg.arg2; Reg.arg3; Reg.ret0; Reg.ret1 |]
+    else Ok (Int32.of_int (row_get t.lmem.(lane) i))
 
 let call ?(fuel = 1_000_000) t name ~args =
   let entry =
@@ -739,22 +762,23 @@ let call ?(fuel = 1_000_000) t name ~args =
   if w > t.lanes then
     invalid_arg
       (Printf.sprintf "Engine_batch.call: %d arg sets for %d lanes" w t.lanes);
+  let nargs = Array.length Cpu.arg_regs in
+  if Array.exists (fun largs -> List.length largs > nargs) args then
+    invalid_arg
+      (Printf.sprintf "Engine_batch.call: more than %d arguments" nargs);
   let rp = Reg.to_int Reg.rp and mrp = Reg.to_int Reg.mrp in
   Array.iteri
     (fun l largs ->
-      if List.length largs > 6 then
-        invalid_arg "Engine_batch.call: more than 6 arguments";
       List.iteri
         (fun i v ->
-          t.rf.(Reg.to_int arg_regs.(i)).(l) <- Sem.wrap (Int32.to_int v))
+          t.rf.(Reg.to_int Cpu.arg_regs.(i)).(l) <- Sem.wrap (Int32.to_int v))
         largs;
       t.rf.(rp).(l) <- Sem.halt;
       t.rf.(mrp).(l) <- Sem.halt;
       t.lnull.(l) <- false;
       t.lstatus.(l) <- Running;
       t.lpc.(l) <- entry;
-      t.lfuel.(l) <- fuel;
       t.lcyc.(l) <- 0)
     args;
   t.width <- w;
-  t.go w
+  t.go w (if fuel < 0 then max_int else fuel)

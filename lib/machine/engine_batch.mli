@@ -6,8 +6,8 @@
     per instruction per cohort of lanes instead of once per lane. Each
     closure's lane loop applies {!Sem}'s statement of the instruction,
     the one {!Engine} specialises too. Register state is one unboxed
-    [int array] per architectural register; per-lane memory images are
-    allocated only when the program loads or stores.
+    [int array] per architectural register; a lane's private memory
+    image is allocated on its first store and reads 0 until then.
 
     Divergent lanes are scheduled as min-PC cohorts and reconverge by PC
     order; a lane that traps or exhausts fuel records its own outcome
@@ -30,8 +30,8 @@ val create :
   Program.resolved ->
   t
 (** Translate [prog] for a batch of [lanes] lanes. [mem_bytes] (default
-    64 KiB) sizes each lane's private memory image, allocated only when
-    the program contains loads or stores. When [obs] is given, the
+    64 KiB) sizes each lane's private memory image, allocated on that
+    lane's first store. When [obs] is given, the
     aggregate [hppa_sim_*] statistics and the
     [hppa_machine_batch_lanes_total] / [hppa_machine_batch_lanes_trapped_total]
     / [hppa_machine_batch_dispatches_total] counters are published under
@@ -54,7 +54,9 @@ val call : ?fuel:int -> t -> string -> args:Hppa_word.Word.t list array -> unit
     PSW bits and memory persist across calls, like reusing a scalar
     machine. Results are read per lane with the accessors below.
     Raises [Invalid_argument] on an unknown entry, an empty batch, more
-    lanes than {!lanes}, or more than 6 arguments for a lane. *)
+    lanes than {!lanes}, or more than 6 arguments for a lane
+    ({!Cpu.arg_regs}); every lane is checked before any is touched, so a
+    rejected call leaves the previous call's state and results intact. *)
 
 val outcome : t -> lane:int -> Cpu.outcome
 (** The lane's outcome after the last {!call}. *)

@@ -83,19 +83,16 @@ let profile t =
 
 let used_engine t = t.used_engine
 
-(* Millicode takes up to four word arguments in the arg registers; the
-   128/64 divide additionally takes its divisor dword in (ret0:ret1),
-   so a fifth and sixth argument land there. *)
-let arg_regs = [ Reg.arg0; Reg.arg1; Reg.arg2; Reg.arg3; Reg.ret0; Reg.ret1 ]
-
 let call ?fuel t name ~args =
   let entry =
     match Program.symbol t.prog name with
     | Some a -> a
     | None -> invalid_arg (Printf.sprintf "Machine.call: no entry point %S" name)
   in
-  if List.length args > 6 then invalid_arg "Machine.call: more than 6 arguments";
-  List.iteri (fun i v -> set t (List.nth arg_regs i) v) args;
+  let nargs = Array.length arg_regs in
+  if List.length args > nargs then
+    invalid_arg (Printf.sprintf "Machine.call: more than %d arguments" nargs);
+  List.iteri (fun i v -> set t arg_regs.(i) v) args;
   set t Reg.rp halt_sentinel;
   set t Reg.mrp halt_sentinel;
   t.halted <- false;

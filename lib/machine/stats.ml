@@ -95,16 +95,47 @@ let record_trap t trap_name =
   in
   Obs.Counter.incr c
 
-(* Bulk variants for the threaded engine, which counts locally during a run
-   and settles the totals once on exit. *)
-let add_executed t ~mnemonic n =
-  if n > 0 then begin
-    Obs.Counter.add t.executed n;
-    Obs.Counter.add (mnemonic_counter t mnemonic) n
-  end
+(* A handle is resolved through [mnemonic_counter] on the first settle
+   that sees its mnemonic executed, so a series is still registered only
+   once it is nonzero. *)
+type tally = {
+  stats : t;
+  names : string array;
+  counts : int array;
+  handles : Obs.Counter.t array;  (* [unbound] until first executed *)
+}
 
-let add_nullified t n = if n > 0 then Obs.Counter.add t.nullified n
-let add_branches_taken t n = if n > 0 then Obs.Counter.add t.branches_taken n
+let unbound = Obs.Counter.create ()
+
+let tally stats names =
+  let n = Array.length names in
+  { stats; names; counts = Array.make n 0; handles = Array.make n unbound }
+
+let counts ty = ty.counts
+
+let settle ty ~nullified ~taken =
+  let total = ref 0 in
+  for id = 0 to Array.length ty.names - 1 do
+    let n = ty.counts.(id) in
+    if n > 0 then begin
+      let h = ty.handles.(id) in
+      let h =
+        if h != unbound then h
+        else begin
+          let c = mnemonic_counter ty.stats ty.names.(id) in
+          ty.handles.(id) <- c;
+          c
+        end
+      in
+      Obs.Counter.add h n;
+      total := !total + n;
+      ty.counts.(id) <- 0
+    end
+  done;
+  if !total > 0 then Obs.Counter.add ty.stats.executed !total;
+  if nullified > 0 then Obs.Counter.add ty.stats.nullified nullified;
+  if taken > 0 then Obs.Counter.add ty.stats.branches_taken taken
+
 let cycles t = Obs.Counter.get t.executed + Obs.Counter.get t.nullified
 let executed t = Obs.Counter.get t.executed
 let nullified t = Obs.Counter.get t.nullified

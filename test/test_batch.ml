@@ -321,6 +321,150 @@ let static_bad_pc () =
         (Stats.branches_taken (Batch.stats b)))
     forms
 
+(* Lanes that run off the end of the image, whether from a body, from a
+   terminator, with a nullify pending, or out of a converged loop, trap
+   [Bad_pc] at the image length after the scalar engine's cycles — at
+   every fuel budget up to the run's length. *)
+let off_the_end () =
+  let open Program in
+  let ldo v t = Insn (Insn.Ldo { imm = v; base = Reg.r0; t }) in
+  let comclr cond =
+    Insn (Insn.Comclr { cond; a = Reg.r0; b = Reg.r0; t = Reg.t2 })
+  in
+  let programs =
+    [
+      ("body last", [ Label "L0"; ldo 1l Reg.t2; Insn Insn.Nop ]);
+      ("terminator last", [ Label "L0"; ldo 1l Reg.t2; comclr Cond.Never ]);
+      ("nullify pending", [ Label "L0"; comclr Cond.Eq ]);
+      ( "converged loop",
+        [
+          Label "L0";
+          ldo 5l Reg.t1;
+          Label "loop";
+          Insn
+            (Insn.Addib
+               {
+                 cond = Cond.Neq;
+                 imm = -1l;
+                 a = Reg.t1;
+                 target = "loop";
+                 n = false;
+               });
+        ] );
+    ]
+  in
+  List.iter
+    (fun (name, src) ->
+      let prog = Program.resolve_exn src in
+      let width = 3 in
+      for fuel = 0 to 12 do
+        let b = Batch.create ~lanes:width prog in
+        Batch.call ~fuel b "L0" ~args:(Array.make width []);
+        let ctx = Printf.sprintf "%s fuel %d" name fuel in
+        let scalars =
+          List.map
+            (fun engine ->
+              let config = { Machine.Config.default with engine } in
+              let m = Machine.create ~config prog in
+              let om, cm = Machine.call_cycles ~fuel m "L0" ~args:[] in
+              for l = 0 to width - 1 do
+                check_lane ~ctx ~mem_words:0 b ~lane:l (m, om, cm)
+              done;
+              m)
+            [ true; false ]
+        in
+        check_stats_sum ~ctx b (List.init width (fun _ -> List.hd scalars))
+      done;
+      let b = Batch.create ~lanes:1 prog in
+      Batch.call b "L0" ~args:[| [] |];
+      let len = Array.length (Program.code prog) in
+      match Batch.outcome b ~lane:0 with
+      | Machine.Trapped (Trap.Bad_pc n) when n = len -> ()
+      | o ->
+          Alcotest.failf "%s: %s, not bad pc at the end" name (outcome_str o))
+    programs
+
+(* Lane memory is private and allocated on a lane's first store: the
+   store is invisible to the other lanes, still there on the storing
+   lane's next calls, and an address nobody stored reads 0 — through
+   LDW and through [load_word] alike. *)
+let lane_memory () =
+  let ret = Insn.Bv { x = Reg.r0; base = Reg.rp; n = false } in
+  let prog =
+    Program.resolve_exn
+      [
+        Program.Label "store";
+        Program.Insn (Insn.Stw { r = Reg.arg1; disp = 0l; base = Reg.arg0 });
+        Program.Insn ret;
+        Program.Label "load";
+        Program.Insn (Insn.Ldw { disp = 0l; base = Reg.arg0; t = Reg.ret0 });
+        Program.Insn ret;
+      ]
+  in
+  let width = 3 in
+  let b = Batch.create ~mem_bytes:64 ~lanes:width prog in
+  Batch.call b "store" ~args:[| [ 8l; 42l ] |];
+  let load ctx addr expect =
+    Batch.call b "load" ~args:(Array.make width [ addr ]);
+    for l = 0 to width - 1 do
+      let want = if l = 0 then expect else 0l in
+      Alcotest.(check int32)
+        (Printf.sprintf "%s: ldw lane %d" ctx l)
+        want
+        (Batch.get_reg b ~lane:l Reg.ret0);
+      match Batch.load_word b ~lane:l addr with
+      | Ok v ->
+          Alcotest.(check int32)
+            (Printf.sprintf "%s: load_word lane %d" ctx l)
+            want v
+      | Error _ -> Alcotest.failf "%s: load_word lane %d failed" ctx l
+    done
+  in
+  load "first call after the store" 8l 42l;
+  load "a later call" 8l 42l;
+  load "an unstored address" 12l 0l;
+  (* A lane that never stored reads 0 everywhere in range. *)
+  (match Batch.load_word b ~lane:2 60l with
+  | Ok 0l -> ()
+  | _ -> Alcotest.fail "untouched lane: last word should read 0");
+  match Batch.load_word b ~lane:2 64l with
+  | Error (Trap.Bad_address _) -> ()
+  | _ -> Alcotest.fail "untouched lane: past the image should fault"
+
+(* A call with a lane over the argument limit is rejected before any
+   lane is touched: the previous call's outcomes, registers, PCs,
+   cycles and statistics all stay as they were. *)
+let rejected_call_keeps_state () =
+  let prog = Hppa.Millicode.resolved () in
+  let width = 6 in
+  let b = Batch.create ~lanes:width prog in
+  let args =
+    Array.init width (fun l ->
+        if l = 2 then [ 5l; 0l ] else [ Int32.of_int ((l * 977) + 3); 7l ])
+  in
+  Batch.call b "divU" ~args;
+  let state () =
+    List.init width (fun lane ->
+        ( outcome_str (Batch.outcome b ~lane),
+          List.init 32 (fun i -> Batch.get_reg b ~lane (Reg.of_int i)),
+          (Batch.pc b ~lane, Batch.cycles b ~lane),
+          (Batch.carry b ~lane, Batch.v_bit b ~lane) ))
+  in
+  let before = state () in
+  let executed = Stats.executed (Batch.stats b) in
+  let bad =
+    Array.init width (fun l ->
+        if l = 3 then List.init 7 Int32.of_int else [ 1l; 1l ])
+  in
+  Alcotest.check_raises "seven arguments in lane 3"
+    (Invalid_argument "Engine_batch.call: more than 6 arguments") (fun () ->
+      Batch.call b "mulI" ~args:bad);
+  if state () <> before then
+    Alcotest.fail "a rejected call changed the lanes' state";
+  Alcotest.(check int) "width kept" width (Batch.width b);
+  Alcotest.(check int) "executed kept" executed
+    (Stats.executed (Batch.stats b))
+
 let suite =
   [
     ( "batch.differential",
@@ -336,5 +480,11 @@ let suite =
         Alcotest.test_case "width 1 equals the scalar engine" `Quick width_one;
         Alcotest.test_case "static branches past the image trap" `Quick
           static_bad_pc;
+        Alcotest.test_case "lanes run off the end of the image" `Quick
+          off_the_end;
+        Alcotest.test_case "lane memory is private and lazily allocated"
+          `Quick lane_memory;
+        Alcotest.test_case "a rejected call leaves the last call's state"
+          `Quick rejected_call_keeps_state;
       ] );
   ]

@@ -427,6 +427,100 @@ let test_engine_interpreter_parity () =
     "per-opcode counts identical" interp_lines engine_lines;
   Alcotest.(check bool) "counts nonempty" true (List.length engine_lines > 3)
 
+module Stats = Hppa_machine.Stats
+
+(* Histogram series are registered when their mnemonic first executes,
+   so a machine that was never reset exposes no zero-valued one. *)
+let zero_insn_lines lines =
+  List.filter
+    (fun l ->
+      String.starts_with ~prefix:"hppa_sim_insns_total" l
+      && String.ends_with ~suffix:" 0" l)
+    lines
+
+let operand_sets =
+  [ (99l, -7l); (0l, 0l); (12345l, 678l); (-1l, Int32.min_int); (7l, 3l) ]
+
+(* One machine alternates engine runs with interpreter runs (a trace
+   hook forces the interpreter) and is reset every few calls; an
+   interpreter-only machine makes the same calls. After every call their
+   hppa_sim_ lines and histograms agree, so the engine's settle handles
+   survive [reset] and mix with the interpreter's string-keyed records. *)
+let test_settle_parity_across_paths () =
+  let prog = Hppa.Millicode.resolved () in
+  let machine engine =
+    let reg = Obs.Registry.create () in
+    let config = { Machine.Config.default with engine; obs = Some reg } in
+    (Machine.create ~config prog, reg)
+  in
+  let mixed, mixed_reg = machine true in
+  let oracle, oracle_reg = machine false in
+  let step = ref 0 and resets = ref 0 in
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun (a, b) ->
+          let interp = !step mod 3 = 2 in
+          Machine.set_trace mixed
+            (if interp then Some (fun _ _ -> ()) else None);
+          ignore (Machine.call mixed entry ~args:[ a; b ]);
+          ignore (Machine.call oracle entry ~args:[ a; b ]);
+          let ctx = Printf.sprintf "%s step %d" entry !step in
+          Alcotest.(check bool) (ctx ^ ": path") (not interp)
+            (Machine.used_engine mixed);
+          Alcotest.(check (list string))
+            (ctx ^ ": hppa_sim_ lines") (sim_lines oracle_reg)
+            (sim_lines mixed_reg);
+          Alcotest.(check (list (pair string int)))
+            (ctx ^ ": by_mnemonic")
+            (Stats.by_mnemonic (Machine.stats oracle))
+            (Stats.by_mnemonic (Machine.stats mixed));
+          if !resets = 0 then
+            Alcotest.(check (list string))
+              (ctx ^ ": no zero series") []
+              (zero_insn_lines (sim_lines mixed_reg));
+          incr step;
+          if !step mod 7 = 0 then begin
+            Machine.reset mixed;
+            Machine.reset oracle;
+            incr resets
+          end)
+        operand_sets)
+    Hppa.Millicode.entries;
+  Alcotest.(check bool) "reset at least twice" true (!resets >= 2)
+
+(* A batch publishes the hppa_sim_ lines of a scalar machine that runs
+   the same operand sets one by one, divide-by-zero traps included. *)
+let test_batch_scalar_exposition () =
+  let prog = Hppa.Millicode.resolved () in
+  let batch_reg = Obs.Registry.create () in
+  let b =
+    Machine.Batch.create ~obs:batch_reg
+      ~lanes:(List.length operand_sets) prog
+  in
+  let scalar_reg = Obs.Registry.create () in
+  let m =
+    Machine.create
+      ~config:{ Machine.Config.default with obs = Some scalar_reg }
+      prog
+  in
+  List.iter
+    (fun entry ->
+      let args =
+        Array.of_list (List.map (fun (a, b) -> [ a; b ]) operand_sets)
+      in
+      Machine.Batch.call b entry ~args;
+      Array.iter (fun a -> ignore (Machine.call m entry ~args:a)) args)
+    Hppa.Millicode.entries;
+  let batch_lines = sim_lines batch_reg in
+  Alcotest.(check (list string))
+    "hppa_sim_ lines" (sim_lines scalar_reg) batch_lines;
+  let insns = String.starts_with ~prefix:"hppa_sim_insns_total" in
+  Alcotest.(check bool) "insns series present" true
+    (List.exists insns batch_lines);
+  Alcotest.(check (list string))
+    "no zero series" [] (zero_insn_lines batch_lines)
+
 let test_machine_profile_counters () =
   let reg = Obs.Registry.create () in
   let config = { Machine.Config.default with obs = Some reg } in
@@ -509,5 +603,9 @@ let suite =
         Alcotest.test_case "profile counters" `Quick
           test_machine_profile_counters;
         Alcotest.test_case "trap counts" `Quick test_trap_counts;
+        Alcotest.test_case "settle parity across paths and resets" `Quick
+          test_settle_parity_across_paths;
+        Alcotest.test_case "batch exposition equals scalar" `Quick
+          test_batch_scalar_exposition;
       ] );
   ]
