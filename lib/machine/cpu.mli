@@ -38,7 +38,8 @@ type t = {
   prog : Program.resolved;
   code : int Insn.t array;
       (** [Program.code prog], flattened once at {!create}: the
-          interpreter's fetch and the engine's translation read it *)
+          interpreter's fetch and the scalar engine's translation read
+          it ({!Engine_batch} reads through [Program.insn]) *)
   regs : int32 array;
   mem : int32 array;
   delay : bool;

@@ -7,6 +7,15 @@
    "superblocks" that execute with direct calls — no re-decode, no
    [Result] allocation, no per-instruction statistics hashing.
 
+   Translation is lazy. [make] returns untranslated tables; the first
+   dispatch at a PC fills the straight-line run from it ({!Sem.thread}),
+   so a machine pays only for the code its runs reach: of the linked
+   millicode's 1931 instructions, perfbench's [sim_kernels] entries
+   reach 803. An untranslated PC's block length is [Sem.untranslated]
+   ([max_int]) and the dispatch loop's fuel never exceeds
+   [max_int - 1], so such a PC always falls to the rare single-step
+   branch, which fills it: the block path pays no extra test.
+
    Each closure is {!Sem}'s statement of its form, specialised to this
    engine's state: the register file [r] (unsigned words, slot 32 the r0
    sink) indexed by register number, and one PSW record. What stays
@@ -14,15 +23,17 @@
    returns the next PC.
 
    Statistics parity: the reference interpreter records every
-   instruction in a string-keyed histogram. The engine increments a
-   per-mnemonic-id int counter inside each closure and settles the run
-   once on exit through a {!Stats.tally}, which holds each mnemonic's
-   histogram counter resolved on its first use in this translation. So
-   cycles, the executed/nullified split, taken-branch counts and the
-   histogram are bit-identical to the interpreter's, and a run pays no
-   string hash. Settling with one string-keyed lookup per mnemonic used
-   had cost a short call about 40% of its time: [mulI] took 564 ns per
-   call that way and takes 328 ns now (release build, 2-vCPU Xeon).
+   instruction in a string-keyed histogram. The engine interns each
+   instruction's mnemonic in a {!Stats.tally} as it compiles it,
+   increments a per-mnemonic-id int counter inside each closure and
+   settles the run once on exit through the tally, which holds each
+   mnemonic's histogram counter resolved on its first use in this
+   translation. So cycles, the executed/nullified split, taken-branch
+   counts and the histogram are bit-identical to the interpreter's, and
+   a run pays no string hash. Settling with one string-keyed lookup per
+   mnemonic used had cost a short call about 40% of its time: [mulI]
+   took 564 ns per call that way and takes 328 ns now (release build,
+   2-vCPU Xeon).
 
    The engine implements only the default (no delay slot) branch model
    and supports neither trace hooks nor the icache model; {!Machine.run}
@@ -49,8 +60,7 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
   let len = Array.length code in
   let mem = cpu.mem in
   let words = Array.length mem in
-  let mid, names = Sem.intern_mnemonics code in
-  let tally = Stats.tally cpu.stats names in
+  let tally = Stats.tally cpu.stats ~capacity:len in
   let mc = Stats.counts tally in
   let st =
     { nullify = false; exit_pc = 0; null_count = 0; taken = 0;
@@ -74,9 +84,10 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
         r.(d) <- x)
   in
   let compile pc : (unit -> unit, unit -> int) Sem.compiled =
-    let n = mid.(pc) in
+    let insn = code.(pc) in
+    let n = Stats.intern tally (Insn.mnemonic insn) in
     let open Sem in
-    match code.(pc) with
+    match insn with
     | Alu { op; a; b; t; trap_ov } -> (
         let a = src a and b = src b and d = dst t in
         match op with
@@ -280,7 +291,7 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
   (* [Sys.opaque_identity] keeps each wrapper a closure of its own: the
      compiler would otherwise merge it into a curried [fun pc b () -> ..],
      and every dispatch would go through a partial-application stub. *)
-  let { Sem.ops; blocks; blen } =
+  let { Sem.ops; blocks; blen; fill } =
     Sem.thread len compile
       ~dummy:(fun () -> 0)
       ~step:(fun pc b -> Sys.opaque_identity (fun () -> b (); pc + 1))
@@ -301,8 +312,9 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
     st.step_cycles <- 0;
     (* The driver mirrors the interpreter's [run]/[step] ordering
        exactly: fuel before the bounds check, bounds before the nullify
-       shadow. Negative fuel never reaches 0, i.e. runs forever, in both
-       engines. *)
+       shadow. Negative fuel runs forever, as in the interpreter: it
+       becomes [max_int - 1], which no run reaches and no untranslated
+       PC's block length fits under. *)
     let rec go pc fuel =
       if pc < 0 then (Cpu.Halted, st.exit_pc)
       else if fuel = 0 then (Cpu.Fuel_exhausted, pc)
@@ -315,15 +327,20 @@ let make (cpu : Cpu.t) : int -> Cpu.outcome =
       end
       else
         let bl = blen.(pc) in
-        if fuel >= bl || fuel < 0 then begin
+        if fuel >= bl then begin
           st.block_cycles <- st.block_cycles + bl;
           go (blocks.(pc) ()) (fuel - bl)
+        end
+        else if bl = Sem.untranslated then begin
+          fill pc;
+          go pc fuel
         end
         else begin
           st.step_cycles <- st.step_cycles + 1;
           go (ops.(pc) ()) (fuel - 1)
         end
     in
+    let fuel = if fuel < 0 then max_int - 1 else min fuel (max_int - 1) in
     let outcome, end_pc =
       try go cpu.pc fuel
       with Trap_at (tpc, trap) -> (Cpu.Trapped trap, tpc)

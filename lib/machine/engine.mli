@@ -1,7 +1,8 @@
 (** Closure-threaded execution engine (internal layer).
 
-    Compiles a machine's resolved program once into specialized closures
-    chained as basic-block superblocks, and returns a run function that
+    Compiles a machine's resolved program into specialized closures
+    chained as basic-block superblocks, each block once, on its first
+    dispatch, and returns a run function that
     is observationally identical to {!Cpu.run} — same registers, PSW
     C/V, memory, traps, PC and {!Stats} totals — on the modes it
     supports. Each closure is {!Sem}'s statement of its instruction form
@@ -11,11 +12,13 @@
     otherwise. *)
 
 val make : Cpu.t -> int -> Cpu.outcome
-(** [make cpu] translates [cpu]'s program; [make cpu fuel] then runs
-    from [cpu.pc] until halt, trap, or [fuel] instructions (negative
-    fuel = unlimited, as in {!Cpu.run}), writing all architectural state
-    back into [cpu]. The translation is reusable: keep the partial
-    application and call it once per run.
+(** [make cpu] sets up an untranslated engine for [cpu]'s program;
+    [make cpu fuel] then runs from [cpu.pc] until halt, trap, or [fuel]
+    instructions (negative fuel = unlimited, as in {!Cpu.run}), writing
+    all architectural state back into [cpu], and translates each block
+    it reaches for the first time. The translation is reusable and
+    grows as runs reach more code: keep the partial application and
+    call it once per run.
 
     Caller contract (checked by {!Machine.run}): the machine is in the
     default branch model (no delay slots), has no trace hook or icache

@@ -10,6 +10,14 @@
    lane loop's body is {!Sem}'s statement of the form, applied to one
    register's lane array and a lane.
 
+   Translation is lazy, as in the scalar engine: [create] returns
+   untranslated tables, reading instructions through [Program.insn]
+   rather than a flat copy of the image, and the scheduler fills a PC's
+   run ({!Sem.thread}) the first time a cohort is dispatched there — one
+   test per cohort dispatch, paid once for all its lanes. So a batch
+   built for one call, as [Plan.run] builds one per multi-lane miss,
+   translates only the blocks that call reaches.
+
    Layout: register state is one unboxed [int array] per architectural
    register ([rf.(reg).(lane)]), carrying the same unsigned 32-bit
    representation as the scalar engine; slot 0 is the hardwired zero and
@@ -81,8 +89,7 @@ type op = int array -> int -> int
 let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     (prog : Program.resolved) =
   if lanes <= 0 then invalid_arg "Engine_batch.create: lanes must be positive";
-  let code = Program.code prog in
-  let len = Array.length code in
+  let len = Program.length prog in
   let mem_words = (mem_bytes + 3) / 4 in
   let lmem = Array.make lanes [||] in
   let rf = Array.init (Sem.sink + 1) (fun _ -> Array.make lanes 0) in
@@ -92,10 +99,9 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
   let lcyc = Array.make lanes 0 in
   let lstatus = Array.make lanes Halted in
   let ltrap = Array.make lanes (Trap.Break 0) in
-  (* Interned mnemonics: closures count cohort sizes into a dense array. *)
-  let mid, names = Sem.intern_mnemonics code in
+  (* Closures count cohort sizes into a dense array by mnemonic id. *)
   let stats = Stats.create ?registry:obs ~labels:obs_labels () in
-  let tally = Stats.tally stats names in
+  let tally = Stats.tally stats ~capacity:len in
   let mc = Stats.counts tally in
   (* Per-run aggregates, reset by [go]. *)
   let nulls = ref 0 and taken = ref 0 and disp = ref 0 in
@@ -149,9 +155,10 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
         k)
   in
   let compile pc : (op, op) Sem.compiled =
-    let n = mid.(pc) in
+    let insn = Program.insn prog pc in
+    let n = Stats.intern tally (Insn.mnemonic insn) in
     let open Sem in
-    match code.(pc) with
+    match insn with
     | Alu { op; a; b; t; trap_ov } -> (
         let ra = rf.(src a) and rb = rf.(src b) and rd = rf.(dst t) in
         match op with
@@ -522,7 +529,7 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
   (* [ops] is the single-instruction step used when some cohort lane's
      fuel cannot cover the whole block. [Sys.opaque_identity] keeps each
      wrapper a closure of its own, as in {!Engine}. *)
-  let { Sem.ops; blocks; blen } =
+  let { Sem.ops; blocks; blen; fill } =
     Sem.thread len compile
       ~dummy:(fun _ _ -> 0)
       ~step:(fun pc b ->
@@ -566,6 +573,8 @@ let create ?(mem_bytes = 65536) ?obs ?(obs_labels = []) ~lanes
     let pc = ref pc and k = ref k and ran = ref 0 and more = ref true in
     while !more do
       let p = !pc in
+      (* The first dispatch at [p] translates its run. *)
+      if blen.(p) = Sem.untranslated then fill p;
       let bl = blen.(p) in
       incr disp;
       entry := p;

@@ -1,11 +1,12 @@
 (** Batched (structure-of-arrays) execution engine.
 
-    Translates a program once and runs it over a vector of lanes — one
-    independent machine per lane — with every per-instruction cost
-    (closure dispatch, mnemonic bookkeeping, branch checks) paid once
-    per instruction per cohort of lanes instead of once per lane. Each
-    closure's lane loop applies {!Sem}'s statement of the instruction,
-    the one {!Engine} specialises too. Register state is one unboxed
+    Translates a program once, each block on its first dispatch, and
+    runs it over a vector of lanes — one independent machine per lane —
+    with every per-instruction cost (closure dispatch, mnemonic
+    bookkeeping, branch checks) paid once per instruction per cohort of
+    lanes instead of once per lane. Each closure's lane loop applies
+    {!Sem}'s statement of the instruction, the one {!Engine} specialises
+    too. Register state is one unboxed
     [int array] per architectural register; a lane's private memory
     image is allocated on its first store and reads 0 until then.
 
@@ -29,7 +30,8 @@ val create :
   lanes:int ->
   Program.resolved ->
   t
-(** Translate [prog] for a batch of [lanes] lanes. [mem_bytes] (default
+(** A batch of [lanes] lanes for [prog], untranslated: each block is
+    translated when a cohort first reaches it. [mem_bytes] (default
     64 KiB) sizes each lane's private memory image, allocated on that
     lane's first store. When [obs] is given, the
     aggregate [hppa_sim_*] statistics and the

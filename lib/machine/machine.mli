@@ -113,10 +113,10 @@ val run : ?fuel:int -> t -> outcome
     1_000_000). The PC after [Trapped] is the address of the trapping
     instruction.
 
-    Execution engine: the program is translated once into threaded
-    closures ({!Engine}) and runs on that fast path whenever the
-    machine is in the default branch model with no trace hook and no
-    icache attached; delay-slot mode and the observation hooks always
+    Execution engine: the program is translated into threaded closures
+    ({!Engine}), each block once, on its first dispatch, and runs on
+    that fast path whenever the machine is in the default branch model
+    with no trace hook and no icache attached; delay-slot mode and the observation hooks always
     use the per-instruction reference interpreter. The two are
     observationally identical — registers, PSW C/V, memory, traps, PC
     and statistics — which the differential test suite enforces. *)
@@ -127,11 +127,12 @@ val used_engine : t -> bool
     registry is attached. *)
 
 (** Dispatch-path profile of this machine: how many runs took the engine
-    vs the interpreter, translate-cache behaviour (a [translation] builds
-    the threaded code, a [translate_reuse] is an engine run that found it
-    already built), and the engine's cycles split between fused
-    superblocks and single-stepped tails (fuel-bounded block entries,
-    nullify shadows). *)
+    vs the interpreter, translate-cache behaviour (a [translation] sets
+    up the threaded engine, whose blocks are then translated as runs
+    first reach them; a [translate_reuse] is an engine run that found
+    the engine already set up), and the engine's cycles split between
+    fused superblocks and single-stepped tails (fuel-bounded block
+    entries, nullify shadows). *)
 type profile_counts = {
   engine_runs : int;
   interp_runs : int;

@@ -148,40 +148,42 @@ let cond_fn (c : Cond.t) : int -> int -> bool =
   | Odd -> fun a b -> (a - b) land 1 = 1
   | Even -> fun a b -> (a - b) land 1 = 0
 
-let intern_mnemonics code =
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let rev_names = ref [] in
-  let intern m =
-    match Hashtbl.find_opt ids m with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length ids in
-        Hashtbl.add ids m id;
-        rev_names := m :: !rev_names;
-        id
-  in
-  let mid = Array.map (fun i -> intern (Insn.mnemonic i)) code in
-  (mid, Array.of_list (List.rev !rev_names))
-
 type ('b, 't) compiled = Body of 'b | Term of 't
-type 't threaded = { ops : 't array; blocks : 't array; blen : int array }
 
-(* Built backwards so each body tail-calls straight into its
-   successor's block. *)
+type 't threaded = {
+  ops : 't array;
+  blocks : 't array;
+  blen : int array;
+  fill : int -> unit;
+}
+
+let untranslated = max_int
+
+(* [fill pc] compiles forward from [pc] to the run's end (a terminator,
+   the image end, or a PC already translated) and threads on the way
+   back, so each body tail-calls straight into its successor's block:
+   the block a PC gets is the one an eager backward pass over the whole
+   image would give it. *)
 let thread len compile ~dummy ~step ~chain =
   let ops = Array.make len dummy and blocks = Array.make len dummy in
-  let blen = Array.make len 1 in
-  for pc = len - 1 downto 0 do
-    match compile pc with
-    | Term f ->
-        ops.(pc) <- f;
-        blocks.(pc) <- f
-    | Body b ->
-        ops.(pc) <- step pc b;
-        if pc = len - 1 then blocks.(pc) <- ops.(pc)
-        else begin
-          blocks.(pc) <- chain b blocks.(pc + 1);
-          blen.(pc) <- blen.(pc + 1) + 1
-        end
-  done;
-  { ops; blocks; blen }
+  let blen = Array.make len untranslated in
+  let rec fill pc =
+    if pc < len && blen.(pc) = untranslated then
+      match compile pc with
+      | Term f ->
+          ops.(pc) <- f;
+          blocks.(pc) <- f;
+          blen.(pc) <- 1
+      | Body b ->
+          ops.(pc) <- step pc b;
+          if pc = len - 1 then begin
+            blocks.(pc) <- ops.(pc);
+            blen.(pc) <- 1
+          end
+          else begin
+            fill (pc + 1);
+            blocks.(pc) <- chain b blocks.(pc + 1);
+            blen.(pc) <- blen.(pc + 1) + 1
+          end
+  in
+  { ops; blocks; blen; fill }

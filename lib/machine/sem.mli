@@ -104,10 +104,6 @@ val in_image : int -> int -> bool
 val cond_fn : Cond.t -> int -> int -> bool
 (** [Cond.eval] on words: monomorphic and allocation-free. *)
 
-val intern_mnemonics : int Insn.t array -> int array * string array
-(** Each instruction's dense mnemonic id, and each id's mnemonic:
-    closures count executions into an int array by id. *)
-
 (** A translated instruction: a [Body] falls through (and may leave the
     block only by trapping); a [Term] ends a basic block. *)
 type ('b, 't) compiled = Body of 'b | Term of 't
@@ -115,8 +111,16 @@ type ('b, 't) compiled = Body of 'b | Term of 't
 type 't threaded = {
   ops : 't array;  (** each instruction alone, for fuel-bounded steps *)
   blocks : 't array;  (** the superblock from each entry point *)
-  blen : int array;  (** its instruction count *)
+  blen : int array;
+      (** its instruction count; {!untranslated} until [fill] reaches it *)
+  fill : int -> unit;  (** translate the run from a PC; see {!thread} *)
 }
+
+val untranslated : int
+(** [max_int]: the [blen] of a PC not translated yet. A dispatch loop
+    whose fuel never exceeds [max_int - 1] finds no block it can afford
+    there and takes its single-step path, which is where it calls
+    [fill]. *)
 
 val thread :
   int ->
@@ -125,8 +129,15 @@ val thread :
   step:(int -> 'b -> 't) ->
   chain:('b -> 't -> 't) ->
   't threaded
-(** [thread len compile ~dummy ~step ~chain] translates
-    [pc = len-1 .. 0] and threads the closures into superblocks:
-    [step pc b] makes a body a one-instruction step to [pc + 1], and
-    [chain b next] runs [b] and then the successor's block. [dummy] only
-    fills the arrays before they are written. *)
+(** [thread len compile ~dummy ~step ~chain] returns untranslated tables
+    for [len] instructions: every [blen] is {!untranslated} and [dummy]
+    fills [ops] and [blocks]. Translation is lazy: [fill pc] compiles
+    the straight-line run from [pc] forward to its first terminator, the
+    image end, or the first PC already translated, and threads it
+    backwards into superblocks: [step pc b] makes a body a
+    one-instruction step to [pc + 1], and [chain b next] runs [b] and
+    then the successor's block. A PC's block and [blen] are therefore
+    the same whatever order runs are filled in, and the same as a
+    backward pass over the whole image would give. [fill] calls
+    [compile] only on the PCs of that run, each once over the tables'
+    life, and does nothing at a translated PC or past the end. *)

@@ -95,39 +95,57 @@ let record_trap t trap_name =
   in
   Obs.Counter.incr c
 
-(* A handle is resolved through [mnemonic_counter] on the first settle
-   that sees its mnemonic executed, so a series is still registered only
-   once it is nonzero. *)
+(* Mnemonics are interned as the translation compiles each
+   instruction, so a tally knows only the mnemonics of the code
+   translated so far. [counts] has one slot per instruction of the
+   image, since the closures keep it; the slots of the interned
+   mnemonics grow as they are interned instead, because two more
+   image-sized arrays per engine measurably raised perfbench's
+   [sim_kernels] set-up time. A slot's handle is resolved through
+   [mnemonic_counter] on the first settle that sees its mnemonic
+   executed, so a series is still registered only once it is nonzero. *)
+type slot = { name : string; mutable handle : Obs.Counter.t }
+
 type tally = {
   stats : t;
-  names : string array;
+  ids : (string, int) Hashtbl.t;
+  mutable slots : slot array;  (* by id; grown by doubling *)
   counts : int array;
-  handles : Obs.Counter.t array;  (* [unbound] until first executed *)
 }
 
 let unbound = Obs.Counter.create ()
+let no_slot = { name = ""; handle = unbound }
 
-let tally stats names =
-  let n = Array.length names in
-  { stats; names; counts = Array.make n 0; handles = Array.make n unbound }
+let tally stats ~capacity =
+  { stats; ids = Hashtbl.create 16; slots = [||];
+    counts = Array.make capacity 0 }
 
 let counts ty = ty.counts
 
+let intern ty mnemonic =
+  match Hashtbl.find_opt ty.ids mnemonic with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length ty.ids in
+      if id >= Array.length ty.counts then
+        invalid_arg "Stats.intern: more mnemonics than the tally's capacity";
+      if id = Array.length ty.slots then begin
+        let grown = Array.make (max 16 (2 * id)) no_slot in
+        Array.blit ty.slots 0 grown 0 id;
+        ty.slots <- grown
+      end;
+      ty.slots.(id) <- { name = mnemonic; handle = unbound };
+      Hashtbl.add ty.ids mnemonic id;
+      id
+
 let settle ty ~nullified ~taken =
   let total = ref 0 in
-  for id = 0 to Array.length ty.names - 1 do
+  for id = 0 to Hashtbl.length ty.ids - 1 do
     let n = ty.counts.(id) in
     if n > 0 then begin
-      let h = ty.handles.(id) in
-      let h =
-        if h != unbound then h
-        else begin
-          let c = mnemonic_counter ty.stats ty.names.(id) in
-          ty.handles.(id) <- c;
-          c
-        end
-      in
-      Obs.Counter.add h n;
+      let s = ty.slots.(id) in
+      if s.handle == unbound then s.handle <- mnemonic_counter ty.stats s.name;
+      Obs.Counter.add s.handle n;
       total := !total + n;
       ty.counts.(id) <- 0
     end

@@ -40,28 +40,41 @@ val record_trap : t -> string -> unit
     cost. *)
 
 type tally
-(** One translation's per-mnemonic run counts, bound to one [t], with
-    each mnemonic's histogram counter looked up once per translation. *)
+(** One translation's per-mnemonic run counts, bound to one [t]: the
+    mnemonics it has interned so far, and each one's histogram counter,
+    looked up once per translation. *)
 
-val tally : t -> string array -> tally
-(** [tally stats names] for a translation whose instructions were
-    interned to the ids of [names] ({!Sem.intern_mnemonics}). *)
+val tally : t -> capacity:int -> tally
+(** [tally stats ~capacity] for a translation of at most [capacity]
+    distinct mnemonics (an image's length bounds them), none interned
+    yet. *)
+
+val intern : tally -> string -> int
+(** [intern ty mnemonic] is the mnemonic's dense id, assigned on its
+    first intern. Translators call it as they compile each instruction,
+    so an instruction that is never translated costs no mnemonic string
+    and no hash; a closure then counts its executions into slot [id] of
+    {!counts}.
+    @raise Invalid_argument past [capacity] distinct mnemonics. *)
 
 val counts : tally -> int array
 (** The array the translated code increments: slot [id] counts the
-    executions of [names.(id)] since the last {!settle}. *)
+    executions of the mnemonic interned as [id] since the last
+    {!settle}. Its length is the tally's capacity, fixed, so closures
+    may keep it. *)
 
 val settle : tally -> nullified:int -> taken:int -> unit
-(** Publish one run: add each nonzero count to its mnemonic's counter,
-    their total to the executed count once, and [nullified] and [taken]
-    to theirs; then zero the counts. A mnemonic's counter is looked up
-    (string-keyed) on the first settle in which it ran and kept after,
-    so [hppa_sim_insns_total{mnemonic=...}] is still registered only
-    once it is nonzero. {!reset} zeroes counters in place, so a tally
-    stays valid across it. Before the tally, each run did one
-    string-keyed lookup per mnemonic it used, which cost the default
-    path 185–250 ns of a 32-bit millicode call (about 40% of [mulI]'s)
-    and 410–1140 ns of a 64-bit one. *)
+(** Publish one run: walk the ids interned so far, add each nonzero
+    count to its mnemonic's counter and their total to the executed
+    count once, add [nullified] and [taken] to theirs; then zero the
+    counts. A mnemonic's counter is looked up (string-keyed) on the
+    first settle in which it ran and kept after, so
+    [hppa_sim_insns_total{mnemonic=...}] is still registered only once
+    it is nonzero. {!reset} zeroes counters in place, so a tally stays
+    valid across it. Before the tally, each run did one string-keyed
+    lookup per mnemonic it used, which cost the default path 185–250 ns
+    of a 32-bit millicode call (about 40% of [mulI]'s) and 410–1140 ns
+    of a 64-bit one. *)
 
 val cycles : t -> int
 (** Executed + nullified instructions. *)

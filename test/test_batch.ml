@@ -465,6 +465,160 @@ let rejected_call_keeps_state () =
   Alcotest.(check int) "executed kept" executed
     (Stats.executed (Batch.stats b))
 
+(* ------------------------------------------------------------------ *)
+(* Lazy translation                                                    *)
+
+(* Scalar machines on both engines, one per lane of [b], in [init]'s
+   registers, which are loaded into [b]'s lanes too. *)
+let lane_machines ~mem_bytes ~init b prog =
+  List.map
+    (fun engine ->
+      Array.init (Batch.lanes b) (fun l ->
+          let m =
+            Machine.create ~mem_bytes
+              ~config:{ Machine.Config.default with engine }
+              prog
+          in
+          for i = 1 to 31 do
+            let v = init.(l).(i - 1) in
+            Machine.set m (Reg.of_int i) v;
+            Batch.set_reg b ~lane:l (Reg.of_int i) v
+          done;
+          m))
+    [ true; false ]
+
+(* One call on every lane of [b] and on each lane's machines: each lane
+   must match both, and the statistics the engine machines' sum. *)
+let call_lanes ~ctx ~mem_bytes b machines (entry, fuel) =
+  Batch.call ~fuel b entry ~args:(Array.make (Batch.lanes b) []);
+  List.iter
+    (Array.iteri (fun l m ->
+         let om, cm = Machine.call_cycles ~fuel m entry ~args:[] in
+         check_lane ~ctx ~mem_words:(mem_bytes / 4) b ~lane:l (m, om, cm)))
+    machines;
+  check_stats_sum ~ctx b (Array.to_list (List.hd machines))
+
+(* One call on a fresh batch and fresh lane machines. *)
+let fresh_call ~ctx ?(mem_bytes = 4096) ~width ~init prog call =
+  let b = Batch.create ~mem_bytes ~lanes:width prog in
+  call_lanes ~ctx ~mem_bytes b (lane_machines ~mem_bytes ~init b prog) call;
+  b
+
+let zero_init width = Array.make width (Array.make 31 0l)
+let dispatches b = (Batch.counters b).Batch.dispatches
+
+(* Entered mid-run first and at the head after, and the reverse: every
+   call matches the scalar machines lane for lane, and dispatches as
+   often as a fresh batch in the same registers, which has translated
+   nothing, with the same cycles. *)
+let first_dispatch_order () =
+  let prog = Test_engine.straight_run () in
+  let width = 3 in
+  List.iter
+    (fun (name, calls, expect) ->
+      let b = Batch.create ~mem_bytes:0 ~lanes:width prog in
+      let machines =
+        lane_machines ~mem_bytes:0 ~init:(zero_init width) b prog
+      in
+      let got =
+        List.map
+          (fun (entry, fuel) ->
+            let ctx = Printf.sprintf "%s: %s fuel %d" name entry fuel in
+            let f = Batch.create ~mem_bytes:0 ~lanes:width prog in
+            for lane = 0 to width - 1 do
+              for i = 1 to 31 do
+                let r = Reg.of_int i in
+                Batch.set_reg f ~lane r (Batch.get_reg b ~lane r)
+              done
+            done;
+            let d0 = dispatches b in
+            call_lanes ~ctx ~mem_bytes:0 b machines (entry, fuel);
+            Batch.call ~fuel f entry ~args:(Array.make width []);
+            for lane = 0 to width - 1 do
+              Alcotest.(check int) (ctx ^ ": fresh cycles")
+                (Batch.cycles b ~lane) (Batch.cycles f ~lane)
+            done;
+            let d = dispatches b - d0 in
+            Alcotest.(check int) (ctx ^ ": dispatches") (dispatches f) d;
+            d)
+          calls
+      in
+      Alcotest.(check (list int)) (name ^ ": dispatches") expect got)
+    [
+      ( "mid first",
+        [ ("mid", -1); ("L0", 5); ("L0", 6); ("mid", 3) ],
+        [ 1; 5; 1; 3 ] );
+      ( "head first",
+        [ ("L0", -1); ("mid", 3); ("mid", 4); ("L0", 5) ],
+        [ 1; 3; 1; 5 ] );
+    ]
+
+(* Traps and a [Bad_pc] branch inside blocks no cohort has dispatched
+   yet. *)
+let untranslated_traps () =
+  List.iter
+    (fun (name, prog) ->
+      List.iter
+        (fun fuel ->
+          let b =
+            fresh_call ~ctx:(Printf.sprintf "%s fuel %d" name fuel) ~width:3
+              ~init:(zero_init 3) prog ("L0", fuel)
+          in
+          if fuel < 0 then
+            match Batch.outcome b ~lane:0 with
+            | Machine.Trapped _ -> ()
+            | o -> Alcotest.failf "%s: %s, not a trap" name (outcome_str o))
+        [ -1; 3; 4; 5 ])
+    (Test_engine.trap_programs ())
+
+(* Fuel 1 .. blen + 1 on a block's first dispatch: single steps below
+   the block's length, one fused dispatch from it on. *)
+let first_dispatch_fuel () =
+  let prog = Test_engine.straight_run () in
+  List.iter
+    (fun (entry, blen) ->
+      for fuel = 1 to blen + 1 do
+        let ctx = Printf.sprintf "%s fuel %d" entry fuel in
+        let b =
+          fresh_call ~ctx ~width:2 ~init:(zero_init 2) prog (entry, fuel)
+        in
+        Alcotest.(check int) (ctx ^ ": dispatches")
+          (if fuel >= blen then 1 else fuel)
+          (dispatches b)
+      done)
+    [ ("L0", 6); ("mid", 4) ]
+
+(* Seeded random programs called three times at random labels and
+   fuels: one reused batch, whose later calls run partly translated
+   code, against reused scalar machines with the same history; and a
+   fresh batch per call against fresh scalar machines. *)
+let fuzz_reused () =
+  let st = Random.State.make [| 0xBA7C; 0x1a2f |] in
+  let width = 5 and mem_bytes = 4096 in
+  for p = 1 to 60 do
+    let prog = Test_engine.gen_program st in
+    let init =
+      Array.init width (fun _ ->
+          Array.init 31 (fun _ -> Test_engine.gen_value st))
+    in
+    let labels = Program.length prog - 1 in
+    let calls =
+      List.init 3 (fun _ ->
+          ( Printf.sprintf "L%d" (Random.State.int st labels),
+            if Random.State.bool st then 2000 else Random.State.int st 51 ))
+    in
+    let b = Batch.create ~mem_bytes ~lanes:width prog in
+    let machines = lane_machines ~mem_bytes ~init b prog in
+    List.iteri
+      (fun j ((entry, fuel) as call) ->
+        let ctx =
+          Printf.sprintf "program %d call %d (%s, fuel %d)" p j entry fuel
+        in
+        ignore (fresh_call ~ctx:(ctx ^ " fresh") ~mem_bytes ~width ~init prog call);
+        call_lanes ~ctx ~mem_bytes b machines call)
+      calls
+  done
+
 let suite =
   [
     ( "batch.differential",
@@ -486,5 +640,16 @@ let suite =
           `Quick lane_memory;
         Alcotest.test_case "a rejected call leaves the last call's state"
           `Quick rejected_call_keeps_state;
+      ] );
+    ( "batch.lazy",
+      [
+        Alcotest.test_case "first dispatch mid-run, then at the head" `Quick
+          first_dispatch_order;
+        Alcotest.test_case "traps in untranslated blocks" `Quick
+          untranslated_traps;
+        Alcotest.test_case "fuel 1..blen+1 on a first dispatch" `Quick
+          first_dispatch_fuel;
+        Alcotest.test_case "60 seeded programs, fresh and reused batches"
+          `Quick fuzz_reused;
       ] );
   ]

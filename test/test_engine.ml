@@ -322,6 +322,277 @@ let fuel_boundaries () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Lazy translation                                                    *)
+
+module Obs = Hppa_obs.Obs
+module Sem = Hppa_machine.Sem
+
+let lines_with prefix registry =
+  Obs.Export.prometheus (Obs.Registry.snapshot registry)
+  |> String.split_on_char '\n'
+  |> List.filter (String.starts_with ~prefix)
+
+let split m =
+  let p = Machine.profile m in
+  (p.Machine.block_cycles, p.Machine.step_cycles)
+
+(* Run [calls] ((entry, fuel) pairs, from [init]'s registers) three
+   ways: on one reused engine machine, on one reused interpreter
+   machine, and each call on a fresh engine machine brought to the same
+   state by replaying the earlier calls on the interpreter (a trace
+   hook forces it), so that machine translates nothing before the call.
+   After every call the engine machines must match the interpreter, and
+   the reused machine's superblock/single-step split for the call must
+   equal the fresh machine's: the order blocks were translated in moves
+   no dispatch. At the end the reused machine publishes the
+   interpreter's [hppa_sim_] lines, one translation and a reuse per
+   later call. Returns each call's split. *)
+let lazy_differential ?(mem_bytes = fuzz_mem_bytes) ~ctx ~init prog calls =
+  let mk ?obs engine =
+    let config = { Machine.Config.default with engine; obs } in
+    let m = Machine.create ~mem_bytes ~config prog in
+    for i = 1 to 31 do
+      Machine.set m (Reg.of_int i) init.(i)
+    done;
+    m
+  in
+  let reused_reg = Obs.Registry.create () and interp_reg = Obs.Registry.create () in
+  let reused = mk ~obs:reused_reg true and interp = mk ~obs:interp_reg false in
+  let splits =
+    List.mapi
+      (fun j (entry, fuel) ->
+        let ctx = Printf.sprintf "%s call %d (%s, fuel %d)" ctx j entry fuel in
+        let fresh = mk true in
+        Machine.set_trace fresh (Some (fun _ _ -> ()));
+        List.iteri
+          (fun i (e, f) ->
+            if i < j then ignore (Machine.call ~fuel:f fresh e ~args:[]))
+          calls;
+        Machine.set_trace fresh None;
+        let b0, s0 = split reused in
+        let oe = Machine.call ~fuel reused entry ~args:[] in
+        let of_ = Machine.call ~fuel fresh entry ~args:[] in
+        let oi = Machine.call ~fuel interp entry ~args:[] in
+        if not (Machine.used_engine reused && Machine.used_engine fresh) then
+          Alcotest.failf "%s: engine path not taken" ctx;
+        let mem_words = mem_bytes / 4 in
+        check_same ~ctx:(ctx ^ " reused") ~mem_words (reused, oe) (interp, oi);
+        check_same ~ctx:(ctx ^ " fresh") ~mem_words (fresh, of_) (interp, oi);
+        let b1, s1 = split reused in
+        let d = (b1 - b0, s1 - s0) in
+        if d <> split fresh then
+          Alcotest.failf "%s: reused split (%d, %d), fresh (%d, %d)" ctx
+            (fst d) (snd d) (fst (split fresh)) (snd (split fresh));
+        d)
+      calls
+  in
+  Alcotest.(check (list string))
+    (ctx ^ ": hppa_sim_ lines")
+    (lines_with "hppa_sim_" interp_reg)
+    (lines_with "hppa_sim_" reused_reg);
+  Alcotest.(check (list string))
+    (ctx ^ ": translations")
+    [
+      "hppa_machine_translate_reuses_total "
+      ^ string_of_int (List.length calls - 1);
+      "hppa_machine_translations_total 1";
+    ]
+    (lines_with "hppa_machine_translat" reused_reg);
+  splits
+
+let no_init = Array.make 32 0l
+
+(* One straight run of six, entered at its head ([L0]) and at its third
+   instruction ([mid]). *)
+let straight_run () =
+  let open Program in
+  let ldo v t = Insn (Insn.Ldo { imm = v; base = Reg.r0; t }) in
+  let alu op a b t = Insn (Insn.Alu { op; a; b; t; trap_ov = false }) in
+  Program.resolve_exn
+    [
+      Label "L0";
+      ldo 7l Reg.t1;
+      ldo 5l Reg.t2;
+      Label "mid";
+      alu Insn.Add Reg.t1 Reg.t2 Reg.ret0;
+      alu (Insn.Shadd 2) Reg.t1 Reg.ret0 Reg.ret0;
+      alu Insn.Xor Reg.ret0 Reg.t2 Reg.ret1;
+      Insn (Insn.Bv { x = Reg.r0; base = Reg.rp; n = false });
+    ]
+
+(* The first dispatch lands mid-run and then at the run's head, and in
+   the reverse order. Whichever comes first, the head's block is the
+   whole run of six: fuel 5 at the head single-steps, fuel 6 fuses. *)
+let first_dispatch_order () =
+  let prog = straight_run () in
+  let run ctx calls expect =
+    let got = lazy_differential ~mem_bytes:0 ~ctx ~init:no_init prog calls in
+    Alcotest.(check (list (pair int int))) (ctx ^ ": splits") expect got
+  in
+  run "mid first"
+    [ ("mid", -1); ("L0", 5); ("L0", 6); ("mid", 3) ]
+    [ (4, 0); (0, 5); (6, 0); (0, 3) ];
+  run "head first"
+    [ ("L0", -1); ("mid", 3); ("mid", 4); ("L0", 5) ]
+    [ (6, 0); (0, 3); (4, 0); (0, 5) ]
+
+(* Traps and a [Bad_pc] branch inside blocks that no dispatch has
+   translated yet: the entry branches over them, so each is first
+   reached in the call that traps. *)
+let trap_programs () =
+  let open Program in
+  let ldo v t = Insn (Insn.Ldo { imm = v; base = Reg.r0; t }) in
+  let enter ?(tail = []) body =
+    Program.resolve_exn
+      ([
+         Label "L0";
+         ldo 1l Reg.t1;
+         Insn (Insn.Comb
+                 { cond = Cond.Eq; a = Reg.r0; b = Reg.r0; target = "far";
+                   n = false });
+         Insn Insn.Nop;
+         Label "far";
+         ldo 2l Reg.t2;
+       ]
+      @ body
+      @ [ Insn (Insn.Bv { x = Reg.r0; base = Reg.rp; n = false }) ]
+      @ tail)
+  in
+  [
+    ("break", enter [ ldo 3l Reg.t3; Insn (Insn.Break { code = 9 }) ]);
+    ( "overflow",
+      enter
+        [
+          Insn (Insn.Ldil { imm = 0x7fff_f800l; t = Reg.t3 });
+          Insn
+            (Insn.Alu
+               { op = Insn.Add; a = Reg.t3; b = Reg.t3; t = Reg.t4;
+                 trap_ov = true });
+          ldo 4l Reg.t4;
+        ] );
+    ( "memory fault",
+      enter
+        [
+          ldo 4097l Reg.t3;
+          Insn (Insn.Ldw { disp = 0l; base = Reg.t3; t = Reg.t4 });
+          ldo 4l Reg.t4;
+        ] );
+    ( "bad pc",
+      enter ~tail:[ Label "end" ]
+        [ ldo 3l Reg.t3; Insn (Insn.B { target = "end"; n = false }) ] );
+  ]
+
+let untranslated_traps () =
+  List.iter
+    (fun (name, prog) ->
+      (match Machine.call (Machine.create prog) "L0" ~args:[] with
+      | Machine.Trapped _ -> ()
+      | o -> Alcotest.failf "%s: %s, not a trap" name (outcome_str o));
+      List.iter
+        (fun fuel ->
+          ignore
+            (lazy_differential ~ctx:name ~init:no_init prog [ ("L0", fuel) ]))
+        [ -1; 3; 4; 5 ])
+    (trap_programs ())
+
+(* Fuel 1 .. blen + 1 on a block's first dispatch, on a fresh machine
+   each time: below the block's length every cycle is single-stepped,
+   from it on the block runs fused. *)
+let first_dispatch_fuel () =
+  let prog = straight_run () in
+  List.iter
+    (fun (entry, blen) ->
+      for fuel = 1 to blen + 1 do
+        let expect = if fuel >= blen then (blen, 0) else (0, fuel) in
+        match
+          lazy_differential ~mem_bytes:0
+            ~ctx:(Printf.sprintf "%s fuel %d" entry fuel)
+            ~init:no_init prog [ (entry, fuel) ]
+        with
+        | [ got ] ->
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "%s fuel %d split" entry fuel)
+              expect got
+        | _ -> assert false
+      done)
+    [ ("L0", 6); ("mid", 4) ]
+
+(* Seeded random programs, each called three times at random labels
+   and fuels: on one reused machine, whose later calls run partly
+   translated code, and on a fresh machine per call. *)
+let fuzz_reused () =
+  let st = Random.State.make [| 0x1a2f; 1987 |] in
+  for i = 1 to 300 do
+    let prog = gen_program st in
+    let init = gen_init st in
+    let labels = Program.length prog - 1 in
+    let calls =
+      List.init 3 (fun _ ->
+          ( Printf.sprintf "L%d" (Random.State.int st labels),
+            if Random.State.bool st then 2000 else Random.State.int st 51 ))
+    in
+    ignore
+      (lazy_differential ~ctx:(Printf.sprintf "program %d" i) ~init prog calls)
+  done
+
+(* Random Body/Term images filled at random PCs in random order: every
+   fill compiles only the run it was called on, each PC once, and the
+   tables end up as an eager backward pass over the image builds them.
+   A step and a block are the list of PCs they would run. *)
+let thread_fill_order () =
+  let st = Random.State.make [| 0x7e4d; 1987 |] in
+  for case = 1 to 500 do
+    let len = 1 + Random.State.int st 40 in
+    let term = Array.init len (fun _ -> Random.State.int st 3 = 0) in
+    let compiled = ref [] and seen = Array.make len false in
+    let compile pc : (int list, int list) Sem.compiled =
+      if seen.(pc) then Alcotest.failf "case %d: pc %d compiled twice" case pc;
+      seen.(pc) <- true;
+      compiled := pc :: !compiled;
+      if term.(pc) then Sem.Term [ pc ] else Sem.Body [ pc ]
+    in
+    let th =
+      Sem.thread len compile ~dummy:[] ~step:(fun _ b -> b)
+        ~chain:(fun b next -> b @ next)
+    in
+    let eager = Array.make len 1 in
+    for pc = len - 2 downto 0 do
+      if not term.(pc) then eager.(pc) <- eager.(pc + 1) + 1
+    done;
+    let order = Array.init len Fun.id in
+    for i = len - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = order.(i) in
+      order.(i) <- order.(j);
+      order.(j) <- x
+    done;
+    Array.iter
+      (fun pc ->
+        let before = Array.map (fun b -> b <> Sem.untranslated) th.blen in
+        compiled := [];
+        th.fill pc;
+        let run = List.rev !compiled in
+        (* The run: from [pc] while untranslated, through the first
+           terminator or the image end. *)
+        let rec expect q =
+          if q >= len || before.(q) then []
+          else q :: (if term.(q) then [] else expect (q + 1))
+        in
+        if run <> expect pc then
+          Alcotest.failf "case %d: fill %d compiled [%s]" case pc
+            (String.concat ";" (List.map string_of_int run)))
+      order;
+    for pc = 0 to len - 1 do
+      if th.blen.(pc) <> eager.(pc) then
+        Alcotest.failf "case %d: blen.(%d) = %d, eager %d" case pc
+          th.blen.(pc) eager.(pc);
+      if th.blocks.(pc) <> List.init eager.(pc) (fun i -> pc + i) then
+        Alcotest.failf "case %d: block %d" case pc;
+      if th.ops.(pc) <> [ pc ] then Alcotest.failf "case %d: op %d" case pc
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Observation hooks force the reference path                          *)
 
 let icache_stays_reference () =
@@ -419,6 +690,19 @@ let suite =
           millicode_differential;
         Alcotest.test_case "divide DS loops, edge operands" `Quick divide_loops;
         Alcotest.test_case "fuel boundaries 0..40" `Quick fuel_boundaries;
+      ] );
+    ( "engine.lazy",
+      [
+        Alcotest.test_case "Sem.thread fills runs in any order" `Quick
+          thread_fill_order;
+        Alcotest.test_case "first dispatch mid-run, then at the head" `Quick
+          first_dispatch_order;
+        Alcotest.test_case "traps in untranslated blocks" `Quick
+          untranslated_traps;
+        Alcotest.test_case "fuel 1..blen+1 on a first dispatch" `Quick
+          first_dispatch_fuel;
+        Alcotest.test_case "300 seeded programs, fresh and reused machines"
+          `Quick fuzz_reused;
       ] );
     ( "engine.dispatch",
       [
